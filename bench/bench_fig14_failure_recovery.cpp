@@ -42,8 +42,14 @@ Timeline run(Plane plane) {
   const std::vector<sim::HostId> sinks = sim::attach_hosts(
       sim, {topo.find("e2_0"), topo.find("e2_1"), topo.find("e3_0"), topo.find("e3_1")});
 
-  sim::ThroughputTimeline timeline(0.5e-3);
-  transport.set_udp_receive_hook([&](sim::Time t, uint32_t bytes) { timeline.add(t, bytes); });
+  // Received UDP bytes per half-open [i*bin, (i+1)*bin) interval.
+  const double bin_s = 0.5e-3;
+  std::vector<uint64_t> bin_bytes;
+  transport.set_udp_receive_hook([&](sim::Time t, uint32_t bytes) {
+    const size_t bin = static_cast<size_t>(t / bin_s);
+    if (bin_bytes.size() <= bin) bin_bytes.resize(bin + 1, 0);
+    bin_bytes[bin] += bytes;
+  });
 
   sim.start();
   for (size_t i = 0; i < sources.size(); ++i) {
@@ -75,10 +81,11 @@ Timeline run(Plane plane) {
   Timeline out;
   const double steady = 4.25;  // Gbps
   bool dipped = false;
-  for (size_t bin = static_cast<size_t>(46e-3 / timeline.bin_width());
-       bin < static_cast<size_t>(60e-3 / timeline.bin_width()); ++bin) {
-    const double t_ms = bin * timeline.bin_width() * 1e3;
-    const double gbps = timeline.throughput_bps(bin) / 1e9;
+  for (size_t bin = static_cast<size_t>(46e-3 / bin_s);
+       bin < static_cast<size_t>(60e-3 / bin_s); ++bin) {
+    const double t_ms = bin * bin_s * 1e3;
+    const double bps = bin < bin_bytes.size() ? bin_bytes[bin] * 8.0 / bin_s : 0.0;
+    const double gbps = bps / 1e9;
     out.t_ms.push_back(t_ms);
     out.gbps.push_back(gbps);
     if (t_ms >= fail_at * 1e3 && gbps < steady * 0.9) dipped = true;

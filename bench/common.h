@@ -24,7 +24,6 @@
 #include "metrics/timeline.h"
 #include "sim/host.h"
 #include "sim/parallel_simulator.h"
-#include "sim/tracing.h"
 #include "sim/transport.h"
 #include "topology/abilene.h"
 #include "topology/generators.h"
@@ -146,7 +145,6 @@ inline ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& exp) {
     }
   }
 
-  sim::QueueLengthTracer tracer;
   sim::TransportManager transport(sim);
 
   // Offered load: fraction of each sender's fair share of the bisection
@@ -162,15 +160,23 @@ inline ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& exp) {
   const auto flows = workload::generate_poisson(*exp.sizes, senders, receivers, wl);
   workload::submit(transport, flows);
 
+  ExperimentResult result;
   sim.start();
   sim.run_until(wl.start);
-  if (exp.trace_queues) tracer.attach_fabric(sim, 1500);  // after convergence
+  if (exp.trace_queues) {
+    // After convergence: every enqueue on a fabric link records the queue
+    // length it found, in MSS units.
+    for (topology::LinkId id = 0; id < topo.num_links(); ++id) {
+      sim.link(id).set_queue_sampler([&result](sim::Time, uint64_t queue_bytes) {
+        result.queue_samples_mss.push_back(static_cast<double>(queue_bytes) / 1500);
+      });
+    }
+  }
   const sim::LinkStats window_start = sim.aggregate_fabric_stats();
   sim.run_until(wl.start + wl.duration);
   const sim::LinkStats window_end = sim.aggregate_fabric_stats();
   sim.run_until(wl.start + wl.duration + exp.drain_s);
 
-  ExperimentResult result;
   result.fct = metrics::summarize_fct(transport.completed_flows(), flows.size());
   result.overhead = metrics::make_overhead_report(window_end, window_start);
   result.fabric_drops = sim.aggregate_fabric_stats().data_drops;
@@ -181,12 +187,11 @@ inline ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& exp) {
     result.data_packets_forwarded += sw->stats().data_forwarded;
   }
   result.events_processed = sim.events().events_processed();
-  result.queue_samples_mss = tracer.samples_mss();
   return result;
 }
 
 /// The same fat-tree experiment on the sharded parallel engine. Queue
-/// tracing is not supported here (the tracer hooks one simulator's links);
+/// tracing is not supported here (the samplers hook one simulator's links);
 /// everything else matches the serial harness parameter for parameter.
 inline ExperimentResult run_fat_tree_experiment_parallel(const FatTreeExperiment& exp) {
   const topology::Topology topo =

@@ -4,6 +4,31 @@
 
 namespace contra::dataplane {
 
+namespace {
+
+constexpr uint32_t kHashSeed = 0x5bd1e995u;
+
+/// The group member hash `h` picks: the (h mod n)-th of the n live ports,
+/// in table order. ECMP groups exclude ports whose link is locally down
+/// (standard LAG/ECMP behaviour) and stay load-oblivious among the rest.
+/// Counts instead of materializing the live group, so it never allocates.
+topology::LinkId pick_live_hop(const sim::Simulator& sim,
+                               const std::vector<topology::LinkId>& hops, uint32_t h) {
+  uint32_t live = 0;
+  for (topology::LinkId l : hops) {
+    if (!sim.link(l).down()) ++live;
+  }
+  if (live == 0) return topology::kInvalidLink;
+  uint32_t skip = h % live;
+  for (topology::LinkId l : hops) {
+    if (sim.link(l).down()) continue;
+    if (skip-- == 0) return l;
+  }
+  return topology::kInvalidLink;
+}
+
+}  // namespace
+
 void EcmpSwitch::handle_packet(sim::Simulator& sim, sim::Packet&& packet,
                                topology::LinkId in_link) {
   (void)in_link;
@@ -13,15 +38,9 @@ void EcmpSwitch::handle_packet(sim::Simulator& sim, sim::Packet&& packet,
     sim.send_to_host(packet.dst_host, std::move(packet));
     return;
   }
-  // ECMP groups exclude ports whose link is locally down (standard LAG/ECMP
-  // behaviour); it stays load-oblivious among the live members.
-  const auto& hops = (*table_)[self_][packet.dst_switch];
-  std::vector<topology::LinkId> live;
-  live.reserve(hops.size());
-  for (topology::LinkId l : hops) {
-    if (!sim.link(l).down()) live.push_back(l);
-  }
-  if (live.empty()) {
+  const topology::LinkId out = pick_live_hop(sim, (*table_)[self_][packet.dst_switch],
+                                             util::hash_five_tuple(packet.tuple, kHashSeed));
+  if (out == topology::kInvalidLink) {
     ++stats_.data_dropped_no_route;
     return;
   }
@@ -30,30 +49,16 @@ void EcmpSwitch::handle_packet(sim::Simulator& sim, sim::Packet&& packet,
     return;
   }
   --packet.routing.ttl;
-  const uint32_t h = util::hash_five_tuple(packet.tuple, /*seed=*/0x5bd1e995u);
   ++stats_.data_forwarded;
-  sim.send_on_link(live[h % live.size()], std::move(packet));
+  sim.send_on_link(out, std::move(packet));
 }
 
 topology::LinkId EcmpSwitch::fluid_next_hop(sim::Simulator& sim, topology::NodeId dst_switch,
                                             const util::FiveTuple& tuple,
                                             sim::RoutingState& routing) {
   (void)routing;
-  const auto& hops = (*table_)[self_][dst_switch];
-  uint32_t live = 0;
-  for (topology::LinkId l : hops) {
-    if (!sim.link(l).down()) ++live;
-  }
-  if (live == 0) return topology::kInvalidLink;
-  // Same pick as handle_packet's `live[h % live.size()]`, found by counting
-  // instead of building the group vector.
-  const uint32_t pick = util::hash_five_tuple(tuple, /*seed=*/0x5bd1e995u) % live;
-  uint32_t idx = 0;
-  for (topology::LinkId l : hops) {
-    if (sim.link(l).down()) continue;
-    if (idx++ == pick) return l;
-  }
-  return topology::kInvalidLink;
+  return pick_live_hop(sim, (*table_)[self_][dst_switch],
+                       util::hash_five_tuple(tuple, kHashSeed));
 }
 
 std::vector<EcmpSwitch*> install_ecmp_network(sim::Simulator& sim) {

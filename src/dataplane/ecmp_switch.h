@@ -26,8 +26,8 @@ class EcmpSwitch : public sim::Device {
 
   void handle_packet(sim::Simulator& sim, sim::Packet&& packet,
                      topology::LinkId in_link) override;
-  /// Hybrid engine route query: the same hash pick over live group members,
-  /// with no allocation (count + index instead of materializing the group).
+  /// Hybrid engine route query: the same hash pick over live group members
+  /// as handle_packet.
   topology::LinkId fluid_next_hop(sim::Simulator& sim, topology::NodeId dst_switch,
                                   const util::FiveTuple& tuple,
                                   sim::RoutingState& routing) override;

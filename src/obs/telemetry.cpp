@@ -36,8 +36,6 @@ CoreMetrics::CoreMetrics(MetricsRegistry& r)
       tcp_fast_retx(r.counter("tcp_fast_retx")),
       flows_started(r.counter("flows_started")),
       flows_completed(r.counter("flows_completed")),
-      conga_feedback_sent(r.counter("conga_feedback_sent")),
-      conga_feedback_received(r.counter("conga_feedback_received")),
       par_epochs(r.counter("par_epochs")),
       par_idle_skips(r.counter("par_idle_skips")),
       par_mailbox_hops(r.counter("par_mailbox_hops")),

@@ -42,8 +42,6 @@ struct CoreMetrics {
   CounterId data_forwarded, data_dropped_no_route, data_dropped_ttl;
   // Transport.
   CounterId tcp_rto_fired, tcp_fast_retx, flows_started, flows_completed;
-  // CONGA in-band feedback.
-  CounterId conga_feedback_sent, conga_feedback_received;
   // Parallel engine (per-shard registries; merged view sums them).
   CounterId par_epochs;            ///< phases this shard actually ran work in
   CounterId par_idle_skips;       ///< phases this shard skipped the barrier (provably idle)

@@ -25,6 +25,11 @@ void emit_header(std::ostringstream& out, const compiler::CompileResult& result)
   out << "typedef bit<16> version_t;\n";
   out << "typedef bit<32> metric_t;  // Q16.16 fixed point\n\n";
 
+  out << "header ethernet_t {\n"
+         "    bit<48> dst_addr;\n"
+         "    bit<48> src_addr;\n"
+         "    bit<16> ether_type;  // CONTRA_PROBE=0x88B5, CONTRA_DATA=0x88B6\n"
+         "}\n\n";
   out << "header contra_probe_t {\n"
          "    switch_id_t origin;     // probe-originating destination\n"
          "    pid_t       pid;\n"
@@ -122,11 +127,6 @@ void emit_metadata_and_parser(std::ostringstream& out,
          "    ethernet_t     ethernet;\n"
          "    contra_probe_t probe;\n"
          "    contra_data_t  data;\n"
-         "}\n\n";
-  out << "header ethernet_t {\n"
-         "    bit<48> dst_addr;\n"
-         "    bit<48> src_addr;\n"
-         "    bit<16> ether_type;  // CONTRA_PROBE=0x88B5, CONTRA_DATA=0x88B6\n"
          "}\n\n";
   out << "parser ContraParser(packet_in pkt, out headers hdr, inout metadata meta,\n"
          "                    inout standard_metadata_t standard_metadata) {\n"

@@ -31,19 +31,6 @@ struct RoutingState {
   bool hula_up = true;         ///< HULA: probe still traveling upward
 };
 
-/// CONGA-style in-band congestion state piggybacked on data packets
-/// (leaf-spine only): the forward half tracks the path's max egress
-/// utilization; the feedback half opportunistically returns one
-/// (uplink, metric) observation to the sender-side leaf.
-struct CongaFields {
-  topology::NodeId src_leaf = topology::kInvalidNode;
-  uint8_t uplink = 0;        ///< index of the chosen uplink at the source leaf
-  float metric = 0.0f;       ///< max egress utilization seen so far
-  bool has_feedback = false;
-  uint8_t fb_uplink = 0;
-  float fb_metric = 0.0f;
-};
-
 /// Probe payload (Contra and HULA reuse the same carrier).
 struct ProbeFields {
   topology::NodeId origin = topology::kInvalidNode;
@@ -76,8 +63,6 @@ inline constexpr size_t kIntHopCap = 16;
 // block exactly as it would on a switch ASIC.
 static_assert(std::is_trivially_copyable_v<ProbeFields>,
               "probe fields must copy without touching the heap");
-static_assert(std::is_trivially_copyable_v<CongaFields>,
-              "conga fields must copy without touching the heap");
 static_assert(std::is_trivially_copyable_v<IntHop>,
               "INT hop records must copy without touching the heap");
 
@@ -100,7 +85,6 @@ struct Packet {
   util::FiveTuple tuple;
   RoutingState routing;
   std::optional<ProbeFields> probe;
-  std::optional<CongaFields> conga;
 
   /// Switch-level path trace (appended by dataplanes as the packet crosses
   /// them). A simulation affordance for compliance checking — it has no

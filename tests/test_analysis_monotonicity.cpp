@@ -52,23 +52,38 @@ TEST(MonotonicitySampled, NoCounterexampleForMonotone) {
       sample_monotonicity_violation(parse_expr("path.lat + path.len"), 1, 4000).has_value());
 }
 
-// Every Fig. 3 policy is monotonic (the paper compiles them all).
-class CatalogMonotone : public ::testing::TestWithParam<lang::Policy> {};
+// Every Fig. 3 policy is monotonic (the paper compiles them all). Each policy
+// carries its catalog name, which gtest prints as the parameter value: a bare
+// Policy would print as its raw bytes (heap addresses), and the CTest name
+// built from it would change with every build.
+struct CatalogEntry {
+  const char* name;
+  lang::Policy policy;
+};
+
+void PrintTo(const CatalogEntry& e, std::ostream* os) { *os << e.name; }
+
+class CatalogMonotone : public ::testing::TestWithParam<CatalogEntry> {};
 
 TEST_P(CatalogMonotone, IsMonotonic) {
-  const MonotonicityReport report = check_monotonicity(GetParam());
+  const MonotonicityReport report = check_monotonicity(GetParam().policy);
   EXPECT_TRUE(report.monotonic) << report.to_string();
 }
 
+namespace policies = lang::policies;
+
 INSTANTIATE_TEST_SUITE_P(
     Fig3, CatalogMonotone,
-    ::testing::Values(lang::policies::shortest_path(), lang::policies::min_util(),
-                      lang::policies::widest_shortest(), lang::policies::shortest_widest(),
-                      lang::policies::waypoint("F1", "F2"),
-                      lang::policies::link_preference("X", "Y"),
-                      lang::policies::weighted_link("X", "Y", 10),
-                      lang::policies::source_local("X"), lang::policies::congestion_aware(),
-                      lang::policies::failover("A B D", "A C D")));
+    ::testing::Values(CatalogEntry{"shortest_path", policies::shortest_path()},
+                      CatalogEntry{"min_util", policies::min_util()},
+                      CatalogEntry{"widest_shortest", policies::widest_shortest()},
+                      CatalogEntry{"shortest_widest", policies::shortest_widest()},
+                      CatalogEntry{"waypoint", policies::waypoint("F1", "F2")},
+                      CatalogEntry{"link_preference", policies::link_preference("X", "Y")},
+                      CatalogEntry{"weighted_link", policies::weighted_link("X", "Y", 10)},
+                      CatalogEntry{"source_local", policies::source_local("X")},
+                      CatalogEntry{"congestion_aware", policies::congestion_aware()},
+                      CatalogEntry{"failover", policies::failover("A B D", "A C D")}));
 
 TEST(Monotonicity, MaximizeUtilizationIsRejected) {
   const MonotonicityReport report =

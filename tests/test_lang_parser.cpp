@@ -137,22 +137,37 @@ TEST(Parser, MissingElseThrows) {
 
 // ---- the full Fig. 3 catalog parses and round-trips -----------------------
 
-class CatalogTest : public ::testing::TestWithParam<Policy> {};
+// Each policy carries its catalog name, which gtest prints as the parameter
+// value: a bare Policy would print as its raw bytes (heap addresses), and the
+// CTest name built from it would change with every build.
+struct CatalogEntry {
+  const char* name;
+  Policy policy;
+};
+
+void PrintTo(const CatalogEntry& e, std::ostream* os) { *os << e.name; }
+
+class CatalogTest : public ::testing::TestWithParam<CatalogEntry> {};
 
 TEST_P(CatalogTest, RoundTripsThroughPrinter) {
-  const Policy p = GetParam();
+  const Policy p = GetParam().policy;
   const Policy again = reparse(p);
   EXPECT_EQ(to_string(p), to_string(again));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Fig3Policies, CatalogTest,
-    ::testing::Values(policies::shortest_path(), policies::min_util(),
-                      policies::widest_shortest(), policies::shortest_widest(),
-                      policies::waypoint("F1", "F2"), policies::waypoint_single("W"),
-                      policies::link_preference("X", "Y"),
-                      policies::weighted_link("X", "Y", 10), policies::source_local("X"),
-                      policies::congestion_aware(), policies::failover("A B D", "A C D")));
+    ::testing::Values(CatalogEntry{"shortest_path", policies::shortest_path()},
+                      CatalogEntry{"min_util", policies::min_util()},
+                      CatalogEntry{"widest_shortest", policies::widest_shortest()},
+                      CatalogEntry{"shortest_widest", policies::shortest_widest()},
+                      CatalogEntry{"waypoint", policies::waypoint("F1", "F2")},
+                      CatalogEntry{"waypoint_single", policies::waypoint_single("W")},
+                      CatalogEntry{"link_preference", policies::link_preference("X", "Y")},
+                      CatalogEntry{"weighted_link", policies::weighted_link("X", "Y", 10)},
+                      CatalogEntry{"source_local", policies::source_local("X")},
+                      CatalogEntry{"congestion_aware", policies::congestion_aware()},
+                      CatalogEntry{"failover", policies::failover("A B D", "A C D")}));
 
 TEST(Parser, CatalogHasExpectedRegexCounts) {
   EXPECT_EQ(collect_regexes(policies::min_util()).size(), 0u);

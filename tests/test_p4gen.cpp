@@ -76,6 +76,22 @@ TEST(P4Gen, GenerateAllCoversEverySwitch) {
   }
 }
 
+TEST(P4Gen, HeaderTypesDeclaredBeforeHeadersStruct) {
+  // P4-16 requires declaration before use: every header type the `headers`
+  // struct names must be declared above it, in every switch's program.
+  const auto result = compile_example();
+  for (const auto& cfg : result.switches) {
+    const std::string p4 = generate_p4(result, cfg);
+    const size_t use = p4.find("struct headers {");
+    ASSERT_NE(use, std::string::npos) << cfg.name;
+    for (const char* type : {"ethernet_t", "contra_probe_t", "contra_data_t"}) {
+      const size_t decl = p4.find(std::string("header ") + type + " {");
+      ASSERT_NE(decl, std::string::npos) << cfg.name << ": " << type;
+      EXPECT_LT(decl, use) << cfg.name << ": " << type << " declared after use";
+    }
+  }
+}
+
 TEST(P4Gen, SubpoliciesAreDocumented) {
   const topology::Topology topo = topology::running_example();
   const auto result = compiler::compile(lang::policies::congestion_aware(), topo);

@@ -11,7 +11,6 @@
 #include "sim/host.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
-#include "sim/tracing.h"
 #include "sim/transport.h"
 #include "topology/abilene.h"
 #include "topology/generators.h"
@@ -502,89 +501,6 @@ TEST(Determinism, GoldenReplayFatTreeAndAbilene) {
         << (g.abilene ? "abilene" : "fat-tree") << " seed " << g.seed << std::hex
         << " actual digest 0x" << first.digest;
   }
-}
-
-TEST(Tracing, ThroughputTimelineBins) {
-  ThroughputTimeline timeline(1e-3);
-  timeline.add(0.5e-3, 1000);
-  timeline.add(0.9e-3, 1000);
-  timeline.add(1.1e-3, 500);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(0), 2000 * 8.0 / 1e-3);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(1), 500 * 8.0 / 1e-3);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(9), 0.0);
-}
-
-TEST(Tracing, ThroughputTimelineBinBoundary) {
-  // An event exactly on a bin edge belongs to the bin it opens (half-open
-  // [i*w, (i+1)*w) intervals): floor(t / w) = i at t = i*w.
-  ThroughputTimeline timeline(1e-3);
-  timeline.add(0.0, 100);
-  timeline.add(1e-3, 200);   // exactly on the 0/1 boundary -> bin 1
-  timeline.add(2e-3, 400);   // exactly on the 1/2 boundary -> bin 2
-  ASSERT_EQ(timeline.num_bins(), 3u);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(0), 100 * 8.0 / 1e-3);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(1), 200 * 8.0 / 1e-3);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(2), 400 * 8.0 / 1e-3);
-}
-
-TEST(Tracing, ThroughputTimelineEmptyGapBins) {
-  // A quiet period leaves explicit zero bins between active ones; the series
-  // must show the gap, not compress it away.
-  ThroughputTimeline timeline(1e-3);
-  timeline.add(0.2e-3, 1000);
-  timeline.add(4.5e-3, 1000);
-  ASSERT_EQ(timeline.num_bins(), 5u);
-  EXPECT_GT(timeline.throughput_bps(0), 0.0);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(1), 0.0);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(2), 0.0);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(3), 0.0);
-  EXPECT_GT(timeline.throughput_bps(4), 0.0);
-  // Negative timestamps are ignored, out-of-range reads are zero.
-  timeline.add(-1.0, 5000);
-  EXPECT_EQ(timeline.num_bins(), 5u);
-  EXPECT_DOUBLE_EQ(timeline.throughput_bps(99), 0.0);
-}
-
-TEST(Tracing, QueueTracerQuantileEmptyAndSingle) {
-  // Empty tracer: every quantile (and CDF) reads 0 rather than faulting.
-  QueueLengthTracer empty;
-  EXPECT_DOUBLE_EQ(empty.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(empty.quantile(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(empty.cdf_at(100.0), 0.0);
-
-  // Single sample: all quantiles collapse to it (interpolation has one point).
-  QueueLengthTracer single;
-  const topology::Topology topo = topology::line(2);
-  Simulator sim(topo, SimConfig{});
-  single.attach_fabric(sim, 1500);
-  Packet p;
-  p.size_bytes = 3000;  // 2 MSS
-  sim.send_on_link(topo.link_between(0, 1), std::move(p));
-  ASSERT_EQ(single.samples_mss().size(), 1u);
-  EXPECT_DOUBLE_EQ(single.quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(single.quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(single.quantile(1.0), 2.0);
-  // Quantile arguments outside [0,1] clamp instead of indexing out of range.
-  EXPECT_DOUBLE_EQ(single.quantile(-0.5), 2.0);
-  EXPECT_DOUBLE_EQ(single.quantile(1.5), 2.0);
-}
-
-TEST(Tracing, QueueTracerQuantiles) {
-  QueueLengthTracer tracer;
-  // No attach needed: exercise the math directly via a fabricated tracer is
-  // not possible (samples_ is private), so attach to a tiny sim instead.
-  const topology::Topology topo = topology::line(2);
-  Simulator sim(topo, SimConfig{});
-  tracer.attach_fabric(sim, 1500);
-  for (int i = 0; i < 4; ++i) {
-    Packet p;
-    p.size_bytes = 1500;
-    sim.send_on_link(topo.link_between(0, 1), std::move(p));
-  }
-  EXPECT_EQ(tracer.samples_mss().size(), 4u);
-  EXPECT_DOUBLE_EQ(tracer.quantile(1.0), 4.0);
-  EXPECT_GT(tracer.cdf_at(4.0), 0.99);
 }
 
 }  // namespace
