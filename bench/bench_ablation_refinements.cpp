@@ -16,18 +16,17 @@ using namespace contra::bench;
 
 // (1) + (4): fat-tree under bursty load with deliberately slow probes makes
 // stale adoptions (and hence transient loops) observable.
-ExperimentResult run_loops(bool versioned, uint8_t loop_threshold) {
-  FatTreeExperiment exp;
-  exp.plane = Plane::kContra;
-  exp.contra_policy = "minimize(path.util)";  // any-path MU: loop-prone shape
-  exp.load = 0.5;
-  exp.seed = 21;
-  exp.duration_s = 15e-3;
-  exp.drain_s = 40e-3;          // unversioned runs loop; keep the tail short
-  exp.probe_period_s = 512e-6;  // slower probes widen inconsistency windows
-  exp.contra_options.versioned_probes = versioned;
-  exp.contra_options.loop_ttl_threshold = loop_threshold;
-  return run_fat_tree_experiment(exp);
+scenario::Result run_loops(bool versioned, uint8_t loop_threshold) {
+  scenario::Scenario sc =
+      fat_tree_scenario(Plane::kContra, workload::web_search_flow_sizes(), 0.5, 21);
+  sc.policy = "minimize(path.util)";  // any-path MU: loop-prone shape
+  sc.workload.duration = 15e-3;
+  sc.drain_s = 40e-3;                 // unversioned runs loop; keep the tail short
+  sc.contra.probe_period_s = 512e-6;  // slower probes widen inconsistency windows
+  sc.sim.util_tau_s = 2 * sc.contra.probe_period_s;
+  sc.contra.versioned_probes = versioned;
+  sc.contra.loop_ttl_threshold = loop_threshold;
+  return scenario::run(sc);
 }
 
 void ablate_versioning() {
@@ -35,9 +34,10 @@ void ablate_versioning() {
   metrics::Table table(
       {"probes", "looped pkts", "loops broken", "mean FCT (ms)", "unfinished"});
   for (bool versioned : {true, false}) {
-    const ExperimentResult result = run_loops(versioned, 6);
+    const scenario::Result result = run_loops(versioned, 6);
     table.add_row({versioned ? "versioned" : "unversioned",
-                   std::to_string(result.looped_packets), std::to_string(result.loops_broken),
+                   std::to_string(result.contra.looped_packets_seen),
+                   std::to_string(result.contra.loops_broken),
                    metrics::Table::num(result.fct.mean_s * 1e3),
                    std::to_string(result.fct.incomplete)});
   }
@@ -53,41 +53,18 @@ void ablate_flowlets() {
   metrics::Table table({"flowlet keying", "invalid-transition drops", "completed",
                         "mean FCT (ms)"});
   for (bool aware : {true, false}) {
-    const topology::Topology topo = topology::fat_tree(4, topology::LinkParams{10e9, 1e-6});
-    const compiler::CompileResult compiled =
-        compiler::compile(lang::policies::waypoint("c0", "c1"), topo);
-    const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
-
-    sim::SimConfig config;
-    config.host_link_bps = 10e9;
-    sim::Simulator sim(topo, config);
-    dataplane::ContraSwitchOptions options;
-    options.policy_aware_flowlets = aware;
-    auto switches = dataplane::install_contra_network(sim, compiled, evaluator, options);
-
-    sim::TransportManager transport(sim);
-    const auto hosts = sim::attach_hosts_to_fat_tree_edges(sim, 2);
-    std::vector<sim::HostId> senders, receivers;
-    for (sim::HostId h : hosts) (h % 2 ? receivers : senders).push_back(h);
-    workload::WorkloadConfig wl;
-    wl.load = 0.4;
-    wl.sender_capacity_bps = 2.5e9;
-    wl.start = 3e-3;
-    wl.duration = 30e-3;
-    wl.seed = 22;
-    wl.size_scale = 0.1;
-    const auto flows = workload::generate_poisson(workload::web_search_flow_sizes(), senders,
-                                                  receivers, wl);
-    workload::submit(transport, flows);
-    sim.start();
-    sim.run_until(wl.start + wl.duration + 0.25);
-
-    uint64_t violations = 0;
-    for (const auto* sw : switches) violations += sw->stats().data_dropped_no_route;
-    const auto fct = metrics::summarize_fct(transport.completed_flows(), flows.size());
+    scenario::Scenario sc =
+        fat_tree_scenario(Plane::kContra, workload::web_search_flow_sizes(), 0.4, 22);
+    sc.hosts_per_edge = 2;
+    // lang::policies::waypoint("c0", "c1"):
+    sc.policy = "minimize(if .* (c0 + c1) .* then path.util else inf)";
+    sc.contra.policy_aware_flowlets = aware;
+    sc.workload.sender_capacity_bps = 2.5e9;
+    const scenario::Result result = scenario::run(sc);
     table.add_row({aware ? "(tag,pid,fid) — paper" : "fid only — naive",
-                   std::to_string(violations), std::to_string(fct.completed),
-                   metrics::Table::num(fct.mean_s * 1e3)});
+                   std::to_string(result.contra.data_dropped_no_route),
+                   std::to_string(result.fct.completed),
+                   metrics::Table::num(result.fct.mean_s * 1e3)});
   }
   std::printf("%s\n", table.to_string().c_str());
 }
@@ -97,12 +74,11 @@ void ablate_probe_period() {
   std::printf("(3) probe period (§5.2) — responsiveness vs probe bandwidth, 60%% load\n");
   metrics::Table table({"period (us)", "mean FCT (ms)", "probe traffic %", "unfinished"});
   for (double period_us : {64.0, 128.0, 256.0, 512.0, 1024.0}) {
-    FatTreeExperiment exp;
-    exp.plane = Plane::kContra;
-    exp.load = 0.6;
-    exp.seed = 23;
-    exp.probe_period_s = period_us * 1e-6;
-    const ExperimentResult result = run_fat_tree_experiment(exp);
+    scenario::Scenario sc =
+        fat_tree_scenario(Plane::kContra, workload::web_search_flow_sizes(), 0.6, 23);
+    sc.contra.probe_period_s = period_us * 1e-6;
+    sc.sim.util_tau_s = 2 * sc.contra.probe_period_s;
+    const scenario::Result result = scenario::run(sc);
     table.add_row({metrics::Table::num(period_us, "%.0f"),
                    metrics::Table::num(result.fct.mean_s * 1e3),
                    metrics::Table::num(result.overhead.probe_fraction() * 100, "%.2f"),
@@ -118,40 +94,14 @@ void ablate_ordering() {
   std::printf("(5) flowlet gap vs packet ordering (§5.3 'Ordered') — 70%% load\n");
   metrics::Table table({"flowlet gap (us)", "reordered pkts", "mean FCT (ms)"});
   for (double gap_us : {0.0, 50.0, 200.0, 1000.0}) {
-    const double rate = 10e9;
-    const topology::Topology topo = topology::fat_tree(4, topology::LinkParams{rate, 1e-6});
-    const compiler::CompileResult compiled =
-        compiler::compile("minimize((path.len, path.util))", topo);
-    const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
-
-    sim::SimConfig config;
-    config.host_link_bps = rate;
-    sim::Simulator sim(topo, config);
-    dataplane::ContraSwitchOptions options;
-    options.flowlet_timeout_s = gap_us * 1e-6;
-    dataplane::install_contra_network(sim, compiled, evaluator, options);
-
-    sim::TransportManager transport(sim);
-    const auto hosts = sim::attach_hosts_to_fat_tree_edges(sim, 4);
-    std::vector<sim::HostId> senders, receivers;
-    for (sim::HostId h : hosts) (h % 2 ? receivers : senders).push_back(h);
-    workload::WorkloadConfig wl;
-    wl.load = 0.7;
-    wl.sender_capacity_bps = 4.0 * rate / senders.size();
-    wl.start = 3e-3;
-    wl.duration = 25e-3;
-    wl.seed = 24;
-    wl.size_scale = 0.1;
-    const auto flows = workload::generate_poisson(workload::web_search_flow_sizes(), senders,
-                                                  receivers, wl);
-    workload::submit(transport, flows);
-    sim.start();
-    sim.run_until(wl.start + wl.duration + 0.2);
-
-    const auto fct = metrics::summarize_fct(transport.completed_flows(), flows.size());
-    table.add_row({metrics::Table::num(gap_us, "%.0f"),
-                   std::to_string(transport.total_reordered_packets()),
-                   metrics::Table::num(fct.mean_s * 1e3)});
+    scenario::Scenario sc =
+        fat_tree_scenario(Plane::kContra, workload::web_search_flow_sizes(), 0.7, 24);
+    sc.contra.flowlet_timeout_s = gap_us * 1e-6;
+    sc.workload.duration = 25e-3;
+    sc.drain_s = 0.2;
+    const scenario::Result result = scenario::run(sc);
+    table.add_row({metrics::Table::num(gap_us, "%.0f"), std::to_string(result.reordered_packets),
+                   metrics::Table::num(result.fct.mean_s * 1e3)});
   }
   std::printf("%s\n", table.to_string().c_str());
 }
@@ -161,9 +111,9 @@ void ablate_loop_threshold() {
   std::printf("(4) loop-detection TTL-spread threshold (§5.5) — unversioned probes\n");
   metrics::Table table({"threshold", "loops broken", "looped pkts", "mean FCT (ms)"});
   for (uint8_t threshold : {2, 4, 8, 16}) {
-    const ExperimentResult result = run_loops(/*versioned=*/false, threshold);
-    table.add_row({std::to_string(threshold), std::to_string(result.loops_broken),
-                   std::to_string(result.looped_packets),
+    const scenario::Result result = run_loops(/*versioned=*/false, threshold);
+    table.add_row({std::to_string(threshold), std::to_string(result.contra.loops_broken),
+                   std::to_string(result.contra.looped_packets_seen),
                    metrics::Table::num(result.fct.mean_s * 1e3)});
   }
   std::printf("%s\n", table.to_string().c_str());

@@ -19,12 +19,7 @@ void sweep(const workload::EmpiricalCdf& sizes, const char* title) {
     std::vector<std::string> row{metrics::Table::num(load * 100, "%.0f")};
     std::vector<std::string> counts;
     for (Plane plane : {Plane::kEcmp, Plane::kContra, Plane::kHula}) {
-      FatTreeExperiment exp;
-      exp.plane = plane;
-      exp.sizes = &sizes;
-      exp.load = load;
-      exp.seed = 11;
-      const ExperimentResult result = run_fat_tree_experiment(exp);
+      const scenario::Result result = scenario::run(fat_tree_scenario(plane, sizes, load, 11));
       row.push_back(metrics::Table::num(result.fct.mean_s * 1e3));
       counts.push_back(std::to_string(result.fct.completed) +
                        (result.fct.incomplete ? "(+" + std::to_string(result.fct.incomplete) +

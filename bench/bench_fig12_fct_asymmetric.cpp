@@ -19,13 +19,9 @@ void sweep(const workload::EmpiricalCdf& sizes, const char* title) {
     std::vector<std::string> row{metrics::Table::num(load * 100, "%.0f")};
     std::vector<std::string> unfinished;
     for (Plane plane : {Plane::kEcmp, Plane::kContra, Plane::kHula}) {
-      FatTreeExperiment exp;
-      exp.plane = plane;
-      exp.sizes = &sizes;
-      exp.load = load;
-      exp.seed = 12;
-      exp.fail_agg_core = true;
-      const ExperimentResult result = run_fat_tree_experiment(exp);
+      scenario::Scenario sc = fat_tree_scenario(plane, sizes, load, 12);
+      sc.fail_link = agg_core_link(sc.topo);
+      const scenario::Result result = scenario::run(sc);
       row.push_back(metrics::Table::num(result.fct.mean_s * 1e3));
       unfinished.push_back(std::to_string(result.fct.incomplete));
     }

@@ -4,6 +4,8 @@
 // Expected shape (paper): Contra's queues stay bounded (never near the
 // 1000-MSS cap); ECMP piles onto the impaired paths and rides the cap,
 // dropping traffic.
+#include <algorithm>
+
 #include "common.h"
 
 namespace {
@@ -11,15 +13,12 @@ namespace {
 using namespace contra;
 using namespace contra::bench;
 
-ExperimentResult run(Plane plane) {
-  FatTreeExperiment exp;
-  exp.plane = plane;
-  exp.load = 0.6;
-  exp.seed = 13;
-  exp.fail_agg_core = true;
-  exp.trace_queues = true;
-  exp.duration_s = 40e-3;
-  return run_fat_tree_experiment(exp);
+scenario::Result run(Plane plane) {
+  scenario::Scenario sc = fat_tree_scenario(plane, workload::web_search_flow_sizes(), 0.6, 13);
+  sc.fail_link = agg_core_link(sc.topo);
+  sc.sample_queues = true;
+  sc.workload.duration = 40e-3;
+  return scenario::run(sc);
 }
 
 double quantile(std::vector<double> sorted, double q) {
@@ -39,7 +38,7 @@ int main() {
   metrics::Table table({"system", "p50", "p90", "p97", "p99", "max", "CDF@100", "CDF@400",
                         "CDF@1000", "drops"});
   for (Plane plane : {Plane::kEcmp, Plane::kContra}) {
-    const ExperimentResult result = run(plane);
+    const scenario::Result result = run(plane);
     std::vector<double> sorted = result.queue_samples_mss;
     std::sort(sorted.begin(), sorted.end());
     auto cdf_at = [&](double x) {

@@ -4,7 +4,11 @@
 //
 // Expected shape (paper): throughput dips at the failure and recovers within
 // ~1 ms for both Contra and Hula (detection ~0.8 ms at a 256us probe period).
+#include <memory>
+
 #include "common.h"
+#include "compiler/compiler.h"
+#include "sim/host.h"
 
 namespace {
 

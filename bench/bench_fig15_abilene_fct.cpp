@@ -19,12 +19,7 @@ void sweep(const workload::EmpiricalCdf& sizes, const char* title) {
     std::vector<std::string> row{metrics::Table::num(load * 100, "%.0f")};
     std::vector<std::string> unfinished;
     for (Plane plane : {Plane::kShortestPath, Plane::kSpain, Plane::kContra}) {
-      AbileneExperiment exp;
-      exp.plane = plane;
-      exp.sizes = &sizes;
-      exp.load = load;
-      exp.seed = 15;
-      const ExperimentResult result = run_abilene_experiment(exp);
+      const scenario::Result result = scenario::run(abilene_scenario(plane, sizes, load, 15));
       row.push_back(metrics::Table::num(result.fct.mean_s * 1e3));
       unfinished.push_back(std::to_string(result.fct.incomplete));
     }

@@ -11,15 +11,11 @@ namespace {
 using namespace contra;
 using namespace contra::bench;
 
-ExperimentResult run(Plane plane, const workload::EmpiricalCdf& sizes, double load) {
-  FatTreeExperiment exp;
-  exp.plane = plane;
-  exp.sizes = &sizes;
-  exp.load = load;
-  exp.seed = 16;
-  exp.duration_s = 40e-3;
-  exp.size_scale = 1.0;  // unscaled flows: overhead ratios need real volume
-  return run_fat_tree_experiment(exp);
+scenario::Result run(Plane plane, const workload::EmpiricalCdf& sizes, double load) {
+  scenario::Scenario sc = fat_tree_scenario(plane, sizes, load, 16);
+  sc.workload.duration = 40e-3;
+  sc.workload.size_scale = 1.0;  // unscaled flows: overhead ratios need real volume
+  return scenario::run(sc);
 }
 
 }  // namespace
@@ -35,9 +31,9 @@ int main() {
                                               ? workload::web_search_flow_sizes()
                                               : workload::cache_flow_sizes();
     for (double load : {0.1, 0.6}) {
-      const ExperimentResult ecmp = run(Plane::kEcmp, sizes, load);
-      const ExperimentResult hula = run(Plane::kHula, sizes, load);
-      const ExperimentResult contra = run(Plane::kContra, sizes, load);
+      const scenario::Result ecmp = run(Plane::kEcmp, sizes, load);
+      const scenario::Result hula = run(Plane::kHula, sizes, load);
+      const scenario::Result contra = run(Plane::kContra, sizes, load);
       table.add_row({wl_name, metrics::Table::num(load * 100, "%.0f"),
                      metrics::Table::num(1.0, "%.4f"),
                      metrics::Table::num(hula.overhead.normalized_to(ecmp.overhead), "%.4f"),
@@ -50,19 +46,17 @@ int main() {
   // §6.5 — transient-loop traffic under the MU policy at 60% load.
   std::printf("Transient-loop traffic (fraction of forwarded data packets):\n");
   {
-    FatTreeExperiment exp;
-    exp.plane = Plane::kContra;
-    exp.load = 0.6;
-    exp.seed = 17;
-    exp.duration_s = 40e-3;
-    const ExperimentResult result = run_fat_tree_experiment(exp);
+    scenario::Scenario sc =
+        fat_tree_scenario(Plane::kContra, workload::web_search_flow_sizes(), 0.6, 17);
+    sc.workload.duration = 40e-3;
+    const dataplane::ContraSwitchStats stats = scenario::run(sc).contra;
     const double fraction =
-        result.data_packets_forwarded
-            ? static_cast<double>(result.looped_packets) / result.data_packets_forwarded
+        stats.data_forwarded
+            ? static_cast<double>(stats.looped_packets_seen) / stats.data_forwarded
             : 0.0;
     std::printf("  fat-tree @60%%: %.5f%% looped (%llu packets), %llu loops broken\n",
-                fraction * 100, static_cast<unsigned long long>(result.looped_packets),
-                static_cast<unsigned long long>(result.loops_broken));
+                fraction * 100, static_cast<unsigned long long>(stats.looped_packets_seen),
+                static_cast<unsigned long long>(stats.loops_broken));
   }
   std::printf(
       "\nExpected shape: Contra within a few %% of ECMP (paper: +0.79%%; our scaled\n"

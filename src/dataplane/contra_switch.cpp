@@ -1109,6 +1109,29 @@ std::string ContraSwitch::check_reference_parity(sim::Time now) const {
   return "";
 }
 
+ContraSwitchStats& ContraSwitchStats::operator+=(const ContraSwitchStats& other) {
+  probes_originated += other.probes_originated;
+  probes_received += other.probes_received;
+  probes_propagated += other.probes_propagated;
+  probes_dropped_version += other.probes_dropped_version;
+  probes_dropped_worse += other.probes_dropped_worse;
+  probes_dropped_no_pg += other.probes_dropped_no_pg;
+  probes_suppressed += other.probes_suppressed;
+  dense_fallback_hits += other.dense_fallback_hits;
+  probes_triggered += other.probes_triggered;
+  probes_holddown_deferred += other.probes_holddown_deferred;
+  keepalive_probes += other.keepalive_probes;
+  probes_withdrawn += other.probes_withdrawn;
+  fwdt_updates += other.fwdt_updates;
+  data_forwarded += other.data_forwarded;
+  data_to_host += other.data_to_host;
+  data_dropped_no_route += other.data_dropped_no_route;
+  data_dropped_ttl += other.data_dropped_ttl;
+  loops_broken += other.loops_broken;
+  looped_packets_seen += other.looped_packets_seen;
+  return *this;
+}
+
 std::vector<ContraSwitch*> install_contra_network(Simulator& sim,
                                                   const compiler::CompileResult& compiled,
                                                   const pg::PolicyEvaluator& evaluator,

@@ -150,6 +150,10 @@ struct ContraSwitchStats {
   uint64_t data_dropped_ttl = 0;
   uint64_t loops_broken = 0;
   uint64_t looped_packets_seen = 0;  ///< exact revisit count (§6.5 metric)
+
+  /// Field-wise sum (network-wide totals over switches).
+  ContraSwitchStats& operator+=(const ContraSwitchStats& other);
+  bool operator==(const ContraSwitchStats&) const = default;
 };
 
 class ContraSwitch : public sim::Device {

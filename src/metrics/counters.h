@@ -35,6 +35,7 @@ struct OverheadReport {
   }
 
   std::string to_string() const;
+  bool operator==(const OverheadReport&) const = default;
 };
 
 OverheadReport make_overhead_report(const sim::LinkStats& fabric);

@@ -18,6 +18,7 @@ struct FctSummary {
   double max_s = 0.0;
 
   std::string to_string() const;
+  bool operator==(const FctSummary&) const = default;
 };
 
 /// Summarizes completed flows; `incomplete` counts flows still unfinished at

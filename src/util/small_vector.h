@@ -74,6 +74,7 @@ class SmallVector {
 
   void append(const T* first, const T* last) {
     const size_t extra = static_cast<size_t>(last - first);
+    if (extra == 0) return;  // an empty range may be (nullptr, nullptr): no memcpy
     if (size_ + extra > capacity_) grow(std::max(size_ + extra, capacity_ * 2));
     std::memcpy(data_ + size_, first, extra * sizeof(T));
     size_ += extra;

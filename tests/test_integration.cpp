@@ -3,107 +3,56 @@
 // reproductions live in bench/.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
 #include "compiler/compiler.h"
 #include "dataplane/contra_switch.h"
-#include "dataplane/ecmp_switch.h"
-#include "dataplane/hula_switch.h"
 #include "lang/policies.h"
-#include "metrics/counters.h"
-#include "metrics/fct.h"
-#include "sim/host.h"
+#include "scenario/scenario.h"
 #include "sim/transport.h"
 #include "topology/generators.h"
-#include "workload/generator.h"
 
 namespace contra {
 namespace {
 
-using dataplane::ContraSwitch;
+using scenario::Plane;
 using sim::HostId;
 
-enum class Plane { kEcmp, kHula, kContra };
-
-struct RunResult {
-  metrics::FctSummary fct;
-  metrics::OverheadReport overhead;
-  uint64_t looped_packets = 0;
-  uint64_t loops_broken = 0;
-};
-
-RunResult run_fat_tree(Plane plane, double load, uint64_t seed,
-                       bool fail_agg_core_link = false, double rate = 1e9) {
-  const topology::Topology topo = topology::fat_tree(4, topology::LinkParams{rate, 1e-6});
-
-  sim::SimConfig config;
-  config.host_link_bps = rate;
-  sim::Simulator sim(topo, config);
-  const auto hosts = sim::attach_hosts_to_fat_tree_edges(sim, 2);
-  std::vector<HostId> senders, receivers;
-  for (HostId h : hosts) (h % 2 ? receivers : senders).push_back(h);
-
-  // Fail before installing so static planes route on the converged
+/// k=4 fat-tree, 2 hosts per edge, web-search flows from t = 3 ms for 30 ms
+/// at `load` of each sender's link rate, then 0.15 s to drain.
+scenario::Scenario fat_tree(Plane plane, double load, uint64_t seed,
+                            bool fail_agg_core_link = false, double rate = 1e9) {
+  scenario::Scenario sc;
+  sc.topo = topology::fat_tree(4, topology::LinkParams{rate, 1e-6});
+  sc.plane = plane;
+  // The paper's datacenter configuration: Contra discovers shortest paths
+  // dynamically and balances on utilization among them (§6.3 — probes
+  // carry "the path length as well as the utilization").
+  sc.policy = "minimize((path.len, path.util))";
+  sc.workload.load = load;
+  sc.workload.sender_capacity_bps = rate;
+  sc.workload.start = 3e-3;
+  sc.workload.duration = 30e-3;
+  sc.workload.seed = seed;
+  sc.workload.size_scale = 0.05;  // many small-ish flows for statistics
+  sc.drain_s = 0.15;
+  sc.sim.host_link_bps = rate;
+  // Failed before installing so static planes route on the converged
   // asymmetric topology (adaptive planes discover it via probes).
   if (fail_agg_core_link) {
-    sim.fail_cable(topo.link_between(topo.find("a0_0"), topo.find("c0")));
+    sc.fail_link = sc.topo.link_between(sc.topo.find("a0_0"), sc.topo.find("c0"));
   }
+  return sc;
+}
 
-  compiler::CompileResult compiled;
-  std::unique_ptr<pg::PolicyEvaluator> evaluator;
-  std::vector<ContraSwitch*> contra_switches;
-  switch (plane) {
-    case Plane::kEcmp:
-      dataplane::install_ecmp_network(sim);
-      break;
-    case Plane::kHula:
-      dataplane::install_hula_network(sim);
-      break;
-    case Plane::kContra:
-      // The paper's datacenter configuration: Contra discovers shortest
-      // paths dynamically and balances on utilization among them (§6.3 —
-      // probes carry "the path length as well as the utilization").
-      compiled = compiler::compile(lang::policies::shortest_widest(), topo);
-      evaluator =
-          std::make_unique<pg::PolicyEvaluator>(compiled.graph, compiled.decomposition);
-      contra_switches = dataplane::install_contra_network(sim, compiled, *evaluator);
-      break;
-  }
-
-  sim::TransportManager transport(sim);
-  workload::WorkloadConfig wl;
-  wl.load = load;
-  wl.sender_capacity_bps = rate;
-  wl.start = 3e-3;
-  wl.duration = 30e-3;
-  wl.seed = seed;
-  wl.size_scale = 0.05;  // many small-ish flows for statistics
-  const auto flows = workload::generate_poisson(workload::web_search_flow_sizes(), senders,
-                                                receivers, wl);
-  workload::submit(transport, flows);
-
-  sim.start();
-  // Overhead is measured over the workload window only (the paper reports
-  // steady-state traffic ratios); FCTs drain afterwards.
-  sim.run_until(wl.start);
-  const sim::LinkStats before = sim.aggregate_fabric_stats();
-  sim.run_until(wl.start + wl.duration);
-  const sim::LinkStats during = sim.aggregate_fabric_stats();
-  sim.run_until(wl.start + wl.duration + 0.15);
-
-  RunResult result;
-  result.fct = metrics::summarize_fct(transport.completed_flows(), flows.size());
-  result.overhead = metrics::make_overhead_report(during, before);
-  for (const ContraSwitch* sw : contra_switches) {
-    result.looped_packets += sw->stats().looped_packets_seen;
-    result.loops_broken += sw->stats().loops_broken;
-  }
-  return result;
+scenario::Result run_fat_tree(Plane plane, double load, uint64_t seed,
+                              bool fail_agg_core_link = false, double rate = 1e9) {
+  return scenario::run(fat_tree(plane, load, seed, fail_agg_core_link, rate));
 }
 
 TEST(Integration, SymmetricFatTreeAllPlanesComplete) {
   for (Plane plane : {Plane::kEcmp, Plane::kHula, Plane::kContra}) {
-    const RunResult r = run_fat_tree(plane, 0.4, 1);
+    const scenario::Result r = run_fat_tree(plane, 0.4, 1);
     EXPECT_GT(r.fct.completed, 50u) << static_cast<int>(plane);
     EXPECT_EQ(r.fct.incomplete, 0u) << static_cast<int>(plane);
   }
@@ -112,8 +61,8 @@ TEST(Integration, SymmetricFatTreeAllPlanesComplete) {
 TEST(Integration, ContraCompetitiveWithHulaOnFatTree) {
   // Fig. 11's takeaway: Contra ~= Hula (within a small factor), both load
   // aware. We assert a loose 1.5x band to keep the test robust.
-  const RunResult hula = run_fat_tree(Plane::kHula, 0.6, 2);
-  const RunResult contra = run_fat_tree(Plane::kContra, 0.6, 2);
+  const scenario::Result hula = run_fat_tree(Plane::kHula, 0.6, 2);
+  const scenario::Result contra = run_fat_tree(Plane::kContra, 0.6, 2);
   ASSERT_GT(hula.fct.completed, 0u);
   ASSERT_GT(contra.fct.completed, 0u);
   EXPECT_LT(contra.fct.mean_s, hula.fct.mean_s * 1.5);
@@ -123,8 +72,8 @@ TEST(Integration, AsymmetryHurtsEcmpMoreThanContra) {
   // Fig. 12's takeaway: with a failed agg-core link, load-aware planes beat
   // load-oblivious ECMP clearly at high load.
   const double load = 0.7;
-  const RunResult ecmp = run_fat_tree(Plane::kEcmp, load, 3, /*fail=*/true);
-  const RunResult contra = run_fat_tree(Plane::kContra, load, 3, /*fail=*/true);
+  const scenario::Result ecmp = run_fat_tree(Plane::kEcmp, load, 3, /*fail=*/true);
+  const scenario::Result contra = run_fat_tree(Plane::kContra, load, 3, /*fail=*/true);
   ASSERT_GT(contra.fct.completed, 0u);
   // Contra completes at least as reliably and with better tail behaviour.
   EXPECT_LE(contra.fct.incomplete, ecmp.fct.incomplete + 2);
@@ -134,8 +83,8 @@ TEST(Integration, AsymmetryHurtsEcmpMoreThanContra) {
 TEST(Integration, ContraOverheadIsSmall) {
   // Fig. 16: Contra's probe + tag overhead is a few percent of ECMP's bytes
   // at paper-like link speeds (10 Gbps).
-  const RunResult ecmp = run_fat_tree(Plane::kEcmp, 0.3, 4, false, 10e9);
-  const RunResult contra = run_fat_tree(Plane::kContra, 0.3, 4, false, 10e9);
+  const scenario::Result ecmp = run_fat_tree(Plane::kEcmp, 0.3, 4, false, 10e9);
+  const scenario::Result contra = run_fat_tree(Plane::kContra, 0.3, 4, false, 10e9);
   const double normalized = contra.overhead.normalized_to(ecmp.overhead);
   EXPECT_GT(normalized, 0.9);
   EXPECT_LT(normalized, 1.25);
@@ -144,10 +93,10 @@ TEST(Integration, ContraOverheadIsSmall) {
 
 TEST(Integration, TransientLoopTrafficIsNegligible) {
   // §6.5: a vanishing fraction of traffic ever loops.
-  const RunResult contra = run_fat_tree(Plane::kContra, 0.6, 5);
+  const scenario::Result contra = run_fat_tree(Plane::kContra, 0.6, 5);
   const double total_packets =
       static_cast<double>(contra.overhead.data_bytes) / 1500.0 + 1.0;
-  EXPECT_LT(static_cast<double>(contra.looped_packets) / total_packets, 0.01);
+  EXPECT_LT(static_cast<double>(contra.contra.looped_packets_seen) / total_packets, 0.01);
 }
 
 TEST(Integration, FailureRecoveryWithinDetectionWindow) {
@@ -189,6 +138,26 @@ TEST(Integration, FailureRecoveryWithinDetectionWindow) {
   const uint64_t late = transport.udp_bytes_received() - mid;
   const double expected_10ms = 400e6 * 10e-3 / 8.0;
   EXPECT_GT(static_cast<double>(late), expected_10ms * 0.7);
+}
+
+TEST(Scenario, ShardedRunIsWorkersInvariant) {
+  // No figure golden or perfbench workload runs the sharded branch: at a
+  // fixed shard count its answer must not depend on the worker count.
+  std::vector<scenario::Result> results;
+  for (uint32_t workers : {1u, 2u}) {
+    scenario::Scenario sc = fat_tree(Plane::kContra, 0.6, 6);
+    sc.sim.shards = 2;
+    sc.sim.workers = workers;
+    results.push_back(scenario::run(sc));
+  }
+  const scenario::Result& one = results[0];
+  const scenario::Result& two = results[1];
+  ASSERT_GT(one.fct.completed, 50u);
+  EXPECT_GT(one.contra.data_forwarded, 0u);
+  EXPECT_EQ(one.fct, two.fct);
+  EXPECT_EQ(one.overhead, two.overhead);
+  EXPECT_EQ(one.fabric_drops, two.fabric_drops);
+  EXPECT_EQ(one.contra, two.contra);
 }
 
 }  // namespace
