@@ -24,7 +24,7 @@ void ClassifiedContraSwitch::handle_packet(sim::Simulator& sim, sim::Packet&& pa
                                            topology::LinkId in_link) {
   size_t cls = 0;
   if (packet.is_probe()) {
-    cls = packet.probe->traffic_class;
+    cls = packet.probe.traffic_class;
   } else if (in_link == sim::kFromHost && !packet.routing.stamped) {
     const auto matched = compiled_->classified.classify(packet.tuple);
     if (!matched) {

@@ -154,7 +154,7 @@ void ContraSwitch::emit_origin_round(Simulator& sim, uint64_t version) {
                                      version, pg::MetricsVector{}};
       ++stats_.probes_originated;
       telemetry_->metrics().add(telemetry_->core().probes_originated);
-      if (telemetry_->tracing()) trace_probe(obs::Ev::kProbeOrig, *probe.probe, sim.now());
+      if (telemetry_->tracing()) trace_probe(obs::Ev::kProbeOrig, probe.probe, sim.now());
       sim.send_on_link(edge.link, std::move(probe));
     }
   }
@@ -366,7 +366,7 @@ uint32_t ContraSwitch::send_row_advert(Simulator& sim, NodeId dst, uint32_t loca
     ++copies;
   }
   if (copies > 0 && telemetry_->tracing()) {
-    trace_probe(withdraw ? obs::Ev::kProbeWithdraw : obs::Ev::kProbeTrigger, *probe.probe,
+    trace_probe(withdraw ? obs::Ev::kProbeWithdraw : obs::Ev::kProbeTrigger, probe.probe,
                 sim.now(), copies);
   }
   return copies;
@@ -470,7 +470,7 @@ void ContraSwitch::handle_packet(Simulator& sim, Packet&& packet, LinkId in_link
 void ContraSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link) {
   ++stats_.probes_received;
   failure_detector_.note_probe(in_link, sim.now());
-  sim::ProbeFields& probe = *packet.probe;
+  sim::ProbeFields& probe = packet.probe;
   obs::Telemetry& tel = *telemetry_;
   tel.metrics().add(tel.core().probes_received);
   tel.metrics().add(tel.core().probe_bytes_rx, packet.size_bytes);
@@ -839,7 +839,9 @@ std::optional<ContraSwitch::BestChoice> ContraSwitch::best_choice(NodeId dst,
 
 void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link) {
   const sim::Time now = sim.now();
-  if (sim.trace_enabled()) packet.trace.push_back(static_cast<uint16_t>(self_));
+  if (sim.trace_enabled()) {
+    packet.path.get_or_create().trace.push_back(static_cast<uint16_t>(self_));
+  }
 
   if (in_link == sim::kFromHost) {
     if (packet.dst_switch == self_) {  // same-rack delivery

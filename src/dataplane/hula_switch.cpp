@@ -130,7 +130,7 @@ void HulaSwitch::handle_packet(Simulator& sim, Packet&& packet, LinkId in_link) 
 void HulaSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link) {
   ++stats_.probes_received;
   failure_detector_.note_probe(in_link, sim.now());
-  sim::ProbeFields& probe = *packet.probe;
+  sim::ProbeFields& probe = packet.probe;
   obs::Telemetry& tel = *telemetry_;
   tel.metrics().add(tel.core().probes_received);
   tel.metrics().add(tel.core().probe_bytes_rx, packet.size_bytes);

@@ -37,15 +37,19 @@ void EventQueue::schedule_link_tx(Time time, Link* link) {
   push(time, slot);
 }
 
-void EventQueue::schedule_deliver(Time time, Link* link, Packet&& packet) {
-  Packet* parked = pool_.acquire();
-  *parked = std::move(packet);
+void EventQueue::schedule_deliver(Time time, Link* link, Packet* packet) {
   const uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.kind = Kind::kDeliver;
   s.link = link;
-  s.packet = parked;
+  s.packet = packet;
   push(time, slot);
+}
+
+void EventQueue::schedule_deliver(Time time, Link* link, Packet&& packet) {
+  Packet* parked = pool_.acquire();
+  *parked = std::move(packet);
+  schedule_deliver(time, link, parked);
 }
 
 bool EventQueue::step() {

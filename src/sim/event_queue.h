@@ -12,8 +12,9 @@
 //     but fall back to the heap.
 //   * typed events — the two per-hop events (transmit-done, propagation
 //     delivery) bypass closures entirely: the event stores a Link* (and for
-//     deliveries a Packet* parked in the queue's freelist pool), so the hot
-//     loop in Link never materializes a callable at all.
+//     deliveries the Packet* slot in the queue's pool that the packet has
+//     occupied since Link::enqueue), so the hot loop in Link never
+//     materializes a callable at all.
 #pragma once
 
 #include <cassert>
@@ -155,15 +156,20 @@ class EventQueue {
 
   // ----- typed per-hop fast path -------------------------------------------
   // The two events every packet hop needs. No callable is created: the event
-  // records the Link (and the in-flight Packet, parked in the pool) and the
-  // dispatch loop calls straight into Link.
+  // records the Link (and the in-flight Packet's pool slot) and the dispatch
+  // loop calls straight into Link.
 
   /// At `time`, run the link's transmit-done step.
   void schedule_link_tx(Time time, Link* link);
-  /// At `time`, deliver `packet` out of `link` (propagation completes).
+  /// At `time`, deliver the packet in pool slot `packet` out of `link`
+  /// (propagation completes); the delivery releases the slot.
+  void schedule_deliver(Time time, Link* link, Packet* packet);
+  /// Same, for a packet arriving from outside the pool (the parallel
+  /// engine's cross-shard mailbox): moves it into a fresh slot first.
   void schedule_deliver(Time time, Link* link, Packet&& packet);
 
-  /// Freelist for packets parked in deliver events; shared with tests.
+  /// Storage for every packet queued on or propagating along this queue's
+  /// links; shared with tests.
   PacketPool& packet_pool() { return pool_; }
 
   bool empty() const { return heap_.empty(); }

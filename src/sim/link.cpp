@@ -38,7 +38,11 @@ bool Link::enqueue(Packet&& packet) {
     if (telemetry_ != nullptr) telemetry_->metrics().add(telemetry_->core().link_ecn_marks);
   }
   queue_bytes_ += packet.size_bytes;
-  queue_.push_back(std::move(packet));
+  // The packet's one move per hop: into the pool slot that carries it
+  // through the FIFO and the propagation leg until delivery.
+  Packet* slot = events_.packet_pool().acquire();
+  *slot = std::move(packet);
+  queue_.push_back(slot);
   if (queue_sampler_) queue_sampler_(events_.now(), queue_bytes_);
   maybe_start_transmit();
   return true;
@@ -55,8 +59,11 @@ void Link::set_down(bool down) {
     // the stale event fires, pop and forward a *new* head packet before its
     // serialization time has elapsed. The stale event itself is disarmed by
     // the tx_done_at_ stamp check in on_transmit_done.
-    queue_.for_each([this](const Packet& p) { note_drop(p); });
-    queue_.clear();
+    while (!queue_.empty()) {
+      Packet* packet = queue_.pop_front();
+      note_drop(*packet);
+      events_.packet_pool().release(packet);
+    }
     queue_bytes_ = 0;
     busy_ = false;
   }
@@ -93,7 +100,7 @@ void Link::note_drop(const Packet& packet) {
 void Link::maybe_start_transmit() {
   if (busy_ || queue_.empty() || down_) return;
   busy_ = true;
-  const double tx_time = queue_.front().size_bytes * 8.0 / capacity_bps();
+  const double tx_time = queue_.front()->size_bytes * 8.0 / capacity_bps();
   tx_done_at_ = events_.now() + tx_time;
   events_.schedule_link_tx(tx_done_at_, this);
 }
@@ -107,18 +114,21 @@ void Link::on_transmit_done() {
   if (!busy_ || events_.now() != tx_done_at_) return;
   busy_ = false;
   if (down_ || queue_.empty()) return;  // lost while down
-  Packet packet = queue_.pop_front();
-  queue_bytes_ -= packet.size_bytes;
-  note_tx(packet);
-  // Propagation: deliver after the wire delay — locally, or via the
-  // cross-shard mailbox when this link's receive side lives in another shard.
+  Packet* packet = queue_.pop_front();
+  queue_bytes_ -= packet->size_bytes;
+  note_tx(*packet);
+  // Propagation: deliver after the wire delay — locally, in the same pool
+  // slot, or via the cross-shard mailbox when this link's receive side lives
+  // in another shard (the mailbox owns the packet from here; the slot goes
+  // back to this shard's pool).
   // delay_s() (not the raw member): a gray link's extra propagation latency
   // applies here. Only ever >= the base delay, so the parallel engine's
   // conservative lookahead (computed from base delays) stays valid.
   if (remote_forward_) {
-    remote_forward_(events_.now() + delay_s(), std::move(packet));
+    remote_forward_(events_.now() + delay_s(), std::move(*packet));
+    events_.packet_pool().release(packet);
   } else {
-    events_.schedule_deliver(events_.now() + delay_s(), this, std::move(packet));
+    events_.schedule_deliver(events_.now() + delay_s(), this, packet);
   }
   maybe_start_transmit();
 }

@@ -117,7 +117,7 @@ class Link {
   void maybe_start_transmit();
   void on_transmit_done();
   /// Propagation finished: hand the pooled packet to deliver_ and return the
-  /// slot to the event queue's freelist.
+  /// slot to the event queue's pool.
   void complete_delivery(Packet* packet);
   void note_tx(const Packet& packet);
 
@@ -127,7 +127,8 @@ class Link {
   uint64_t queue_capacity_bytes_;
   double util_tau_s_;
 
-  util::RingQueue<Packet> queue_;
+  /// Handles to packets parked in events_.packet_pool(), front to back.
+  util::RingQueue<Packet*> queue_;
   uint64_t queue_bytes_ = 0;
   uint64_t ecn_threshold_bytes_ = 0;
   bool busy_ = false;

@@ -15,8 +15,8 @@ constexpr uint64_t kPoisonId = 0xdeadbeefdeadbeefull;
 
 Packet* PacketPool::acquire() {
   if (free_.empty()) {
-    storage_.push_back(std::make_unique<Packet>());
-    return storage_.back().get();
+    if (carved_ % kSlabSlots == 0) slabs_.push_back(std::make_unique<Packet[]>(kSlabSlots));
+    return &slabs_.back()[carved_++ % kSlabSlots];
   }
   Packet* packet = free_.back();
   free_.pop_back();
@@ -35,6 +35,7 @@ void PacketPool::release(Packet* packet) {
   packet->seq = kPoisonId;
   packet->size_bytes = 0xdeadbeefu;
 #endif
+  packet->path.reset();
   free_.push_back(packet);
 }
 

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -66,9 +65,64 @@ static_assert(std::is_trivially_copyable_v<ProbeFields>,
 static_assert(std::is_trivially_copyable_v<IntHop>,
               "INT hop records must copy without touching the heap");
 
+/// Cold side record of a packet: what only diagnostics write. It is
+/// allocated on first write, so probes and untraced data packets carry only
+/// a null pointer.
+struct PathRecord {
+  /// Switch-level path trace (appended by dataplanes as the packet crosses
+  /// them when SimConfig::capture_traces is on). A simulation affordance for
+  /// compliance checking — it has no wire-format counterpart and no effect
+  /// on behaviour.
+  std::vector<uint16_t> trace;
+  /// Per-hop INT records of an int_sampled packet (flow telemetry).
+  std::vector<IntHop> int_hops;
+};
+
+/// Owning pointer to a packet's PathRecord with value semantics: copying a
+/// packet deep-copies its record, moving steals it.
+class PathRecordPtr {
+ public:
+  PathRecordPtr() = default;
+  PathRecordPtr(const PathRecordPtr& other) : record_(clone(other)) {}
+  PathRecordPtr& operator=(const PathRecordPtr& other) {
+    if (this != &other) record_ = clone(other);
+    return *this;
+  }
+  PathRecordPtr(PathRecordPtr&&) noexcept = default;
+  PathRecordPtr& operator=(PathRecordPtr&&) noexcept = default;
+
+  explicit operator bool() const { return record_ != nullptr; }
+  const PathRecord* operator->() const { return record_.get(); }
+  /// The record, allocated on first use.
+  PathRecord& get_or_create() {
+    if (!record_) record_ = std::make_unique<PathRecord>();
+    return *record_;
+  }
+  void reset() { record_.reset(); }
+
+ private:
+  static std::unique_ptr<PathRecord> clone(const PathRecordPtr& other) {
+    return other.record_ ? std::make_unique<PathRecord>(*other.record_) : nullptr;
+  }
+
+  std::unique_ptr<PathRecord> record_;
+};
+
+/// Fields are grouped by alignment so the struct packs without interior
+/// padding: the packet pool holds one of these per queued or propagating
+/// packet, and the synchronized probe flood of a k=16 fat-tree holds about
+/// half a million at once.
 struct Packet {
-  PacketKind kind = PacketKind::kData;
-  uint64_t id = 0;  ///< unique per packet, for tracing
+  uint64_t id = 0;        ///< unique per packet, for tracing
+  uint64_t flow_id = 0;   ///< transport flow
+  uint64_t seq = 0;       ///< data: sequence number; ack: cumulative ack
+  /// Flow telemetry: order-sensitive hash of fabric links crossed (stamped
+  /// by Simulator::send_on_link only when Simulator::set_flow_telemetry(true)).
+  uint64_t path_sig = 0;
+  /// Probe payload; meaningful only when kind == PacketKind::kProbe.
+  ProbeFields probe;
+  /// Switch trace and INT hops; null unless a feature wrote to it.
+  PathRecordPtr path;
 
   // Endpoints.
   HostId src_host = kInvalidHost;
@@ -76,29 +130,14 @@ struct Packet {
   topology::NodeId src_switch = topology::kInvalidNode;
   topology::NodeId dst_switch = topology::kInvalidNode;
 
-  // Transport.
-  uint64_t flow_id = 0;
-  uint64_t seq = 0;       ///< data: sequence number; ack: cumulative ack
   uint32_t size_bytes = 0;
-  bool ecn_marked = false;  ///< congestion-experienced (set by queues, echoed by ACKs)
-
   util::FiveTuple tuple;
   RoutingState routing;
-  std::optional<ProbeFields> probe;
 
-  /// Switch-level path trace (appended by dataplanes as the packet crosses
-  /// them). A simulation affordance for compliance checking — it has no
-  /// wire-format counterpart and no effect on behaviour.
-  std::vector<uint16_t> trace;
-
-  // Flow telemetry (stamped by Simulator::send_on_link only when
-  // Simulator::set_flow_telemetry(true); all defaults otherwise, so the
-  // fields copy for free on the probe-flood hot path).
-  uint64_t path_sig = 0;    ///< order-sensitive hash of fabric links crossed
-  uint8_t hops = 0;         ///< fabric hops crossed
-  bool int_sampled = false; ///< this packet accumulates int_hops (1-in-N)
-  /// Per-hop INT records; empty (no heap) unless int_sampled.
-  std::vector<IntHop> int_hops;
+  PacketKind kind = PacketKind::kData;
+  bool ecn_marked = false;  ///< congestion-experienced (set by queues, echoed by ACKs)
+  uint8_t hops = 0;         ///< flow telemetry: fabric hops crossed
+  bool int_sampled = false; ///< flow telemetry: this packet records INT hops (1-in-N)
 
   bool is_probe() const { return kind == PacketKind::kProbe; }
 
@@ -111,26 +150,36 @@ struct Packet {
   }
 };
 
-/// Freelist recycler for in-flight packet storage. The event core parks a
-/// packet here for the propagation leg of every hop (see
-/// EventQueue::schedule_deliver); recycling the slots keeps the steady-state
-/// hop path allocation-free. Slots are poisoned while free in debug builds
-/// so reuse-after-release is caught instead of silently corrupting a
-/// simulation.
+static_assert(sizeof(Packet) <= 160, "a Packet is one packet-pool slot; keep the hot record small");
+static_assert(std::is_nothrow_move_constructible_v<Packet>,
+              "pool slots and mailboxes move packets without a fallback copy");
+
+/// Slab allocator and freelist for packet storage. A packet occupies one
+/// slot from Link::enqueue until its delivery completes (link FIFOs and
+/// deliver events hold Packet* handles into it); recycling the slots keeps
+/// the steady-state hop path allocation-free. Slots are carved from
+/// fixed-size slabs, so a slot's address never changes while the pool lives.
+/// Slots are poisoned while free in debug builds so reuse-after-release is
+/// caught instead of silently corrupting a simulation. Not thread-safe: each
+/// shard's event queue owns one.
 class PacketPool {
  public:
-  /// Returns a recycled (or newly created) packet slot. The caller owns the
+  static constexpr size_t kSlabSlots = 512;
+
+  /// Returns a recycled (or newly carved) packet slot. The caller owns the
   /// slot until it releases it; contents are whatever the caller assigns.
   Packet* acquire();
-  /// Returns a slot to the freelist. Double-release asserts in debug builds.
+  /// Returns a slot to the freelist, dropping its cold record. Double-release
+  /// asserts in debug builds.
   void release(Packet* packet);
 
-  /// Slots ever created (freelist high-water mark); stable once warm.
-  size_t allocated() const { return storage_.size(); }
+  /// Slots ever handed out (freelist high-water mark); stable once warm.
+  size_t allocated() const { return carved_; }
   size_t free_count() const { return free_.size(); }
 
  private:
-  std::vector<std::unique_ptr<Packet>> storage_;
+  std::vector<std::unique_ptr<Packet[]>> slabs_;
+  size_t carved_ = 0;  ///< slots handed out of slabs_ so far
   std::vector<Packet*> free_;
 };
 

@@ -75,9 +75,12 @@ bool Simulator::send_on_link(topology::LinkId link, Packet&& packet) {
     // identifies the fabric path alone.
     packet.path_sig = util::hash_combine(packet.path_sig, link + 1);
     if (packet.hops < UINT8_MAX) ++packet.hops;
-    if (packet.int_sampled && packet.int_hops.size() < kIntHopCap) {
-      Link& l = *links_[link];
-      packet.int_hops.push_back(IntHop{link, static_cast<uint32_t>(l.queue_bytes()), now()});
+    if (packet.int_sampled) {
+      std::vector<IntHop>& int_hops = packet.path.get_or_create().int_hops;
+      if (int_hops.size() < kIntHopCap) {
+        Link& l = *links_[link];
+        int_hops.push_back(IntHop{link, static_cast<uint32_t>(l.queue_bytes()), now()});
+      }
     }
   }
   return links_.at(link)->enqueue(std::move(packet));

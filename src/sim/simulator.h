@@ -24,9 +24,9 @@ struct SimConfig {
   uint64_t queue_capacity_bytes = 1000ull * 1500;
   /// Utilization EWMA window; commonly a couple of probe periods.
   double util_tau_s = 512e-6;
-  /// Record the switch-level path each packet takes in Packet::trace.
-  /// Compliance checks need it; everything else runs faster without the
-  /// per-hop vector growth, so it is opt-in.
+  /// Record the switch-level path each data packet takes in its cold
+  /// PathRecord (Packet::path). Compliance checks need it; everything else
+  /// runs faster without the per-packet record, so it is opt-in.
   bool capture_traces = false;
   /// Parallel engine (see ParallelSimulator / DESIGN.md §8). 0 = serial
   /// engine, the default; the serial Simulator itself ignores both fields.
@@ -50,7 +50,7 @@ class Simulator {
   const SimConfig& config() const { return config_; }
   EventQueue& events() { return events_; }
   Time now() const { return events_.now(); }
-  /// Whether dataplanes should append to Packet::trace (see
+  /// Whether dataplanes should append to PathRecord::trace (see
   /// SimConfig::capture_traces).
   bool trace_enabled() const { return config_.capture_traces; }
 

@@ -346,10 +346,11 @@ void TransportManager::record_delivery(const Packet& packet, bool reordered) {
                          reordered);
   if (packet.int_sampled) {
     obs::PathHop hops[kIntHopCap];
-    const uint8_t n = static_cast<uint8_t>(packet.int_hops.size());
-    for (uint8_t i = 0; i < n; ++i) {
-      hops[i] = obs::PathHop{packet.int_hops[i].link, packet.int_hops[i].queue_bytes,
-                             packet.int_hops[i].t};
+    uint8_t n = 0;
+    if (packet.path) {
+      for (const IntHop& hop : packet.path->int_hops) {
+        hops[n++] = obs::PathHop{hop.link, hop.queue_bytes, hop.t};
+      }
     }
     flow_tracker_->on_path_sample(packet.flow_id, packet.seq, packet.dst_switch,
                                   packet.size_bytes, sim_.now(), packet.hops, hops, n);

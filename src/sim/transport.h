@@ -93,7 +93,7 @@ class TransportManager {
   }
 
   /// Invoked on every data packet (TCP and UDP) that reaches its host —
-  /// e.g. to audit Packet::trace for policy compliance.
+  /// e.g. to audit PathRecord::trace for policy compliance.
   void set_data_inspector(std::function<void(const Packet&)> inspector) {
     data_inspector_ = std::move(inspector);
   }

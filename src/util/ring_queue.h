@@ -1,10 +1,10 @@
 // A growable circular FIFO of movable values.
 //
-// Replaces std::deque on the simulator hot path: with elements the size of a
-// Packet, libstdc++'s deque fits only a couple per chunk, so a steady stream
-// through the queue allocates and frees a chunk every few pushes. The ring
-// reuses one flat buffer forever once grown, which the zero-allocation
-// contract of the event core depends on.
+// Link queues keep their packets in one as 8-byte Packet* handles into the
+// event queue's PacketPool, so a queued packet never moves. Unlike
+// std::deque, which allocates and frees chunks as a steady stream passes
+// through, the ring reuses one flat buffer forever once grown, which the
+// zero-allocation contract of the event core depends on.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +19,7 @@ class RingQueue {
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
-  void push_back(T&& value) {
+  void push_back(T value) {
     if (size_ == buf_.size()) grow();
     buf_[tail_] = std::move(value);
     tail_ = next(tail_);
@@ -37,29 +37,13 @@ class RingQueue {
     return out;
   }
 
-  void clear() {
-    // Drop held resources eagerly (queued values may own buffers).
-    for (size_t i = 0; i < size_; ++i) buf_[index(i)] = T{};
-    head_ = tail_ = size_ = 0;
-  }
-
-  /// Visits elements front to back.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (size_t i = 0; i < size_; ++i) fn(buf_[index(i)]);
-  }
-
  private:
   size_t next(size_t i) const { return i + 1 == buf_.size() ? 0 : i + 1; }
-  size_t index(size_t offset) const {
-    const size_t i = head_ + offset;
-    return i >= buf_.size() ? i - buf_.size() : i;
-  }
 
   void grow() {
     const size_t cap = buf_.empty() ? 16 : buf_.size() * 2;
     std::vector<T> bigger(cap);
-    for (size_t i = 0; i < size_; ++i) bigger[i] = std::move(buf_[index(i)]);
+    for (size_t i = 0, j = head_; i < size_; ++i, j = next(j)) bigger[i] = std::move(buf_[j]);
     buf_ = std::move(bigger);
     head_ = 0;
     tail_ = size_;

@@ -45,7 +45,7 @@ TEST_P(ComplianceSweep, DeliveredPacketsMatchPolicyPaths) {
 
   sim::SimConfig config;
   config.host_link_bps = 1e9;
-  config.capture_traces = true;  // the audit below reads Packet::trace
+  config.capture_traces = true;  // the audit below reads PathRecord::trace
   sim::Simulator sim(topo, config);
   dataplane::ContraSwitchOptions options;
   options.probe_period_s = 128e-6;
@@ -65,8 +65,9 @@ TEST_P(ComplianceSweep, DeliveredPacketsMatchPolicyPaths) {
     ++audited;
     if (!constraint) return;
     std::vector<std::string> names;
-    names.reserve(packet.trace.size());
-    for (uint16_t n : packet.trace) names.push_back(topo.name(n));
+    if (packet.path) {
+      for (uint16_t n : packet.path->trace) names.push_back(topo.name(n));
+    }
     if (!lang::regex_matches(constraint, names)) ++violations;
   });
 

@@ -155,6 +155,29 @@ TEST(PacketPool, RecyclesReleasedSlots) {
   pool.release(b);
 }
 
+TEST(PacketPool, SlotsStayPutAcrossSlabs) {
+  // Queued packets are held by address (link FIFOs and deliver events store
+  // Packet* handles), so growing the pool must never move a live slot.
+  PacketPool pool;
+  const size_t n = 2 * PacketPool::kSlabSlots + 3;
+  std::vector<Packet*> slots;
+  for (size_t i = 0; i < n; ++i) {
+    Packet* p = pool.acquire();
+    p->id = 1000 + i;
+    p->size_bytes = static_cast<uint32_t>(i);
+    slots.push_back(p);
+  }
+  EXPECT_EQ(pool.allocated(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(slots[i]->id, 1000 + i);
+    EXPECT_EQ(slots[i]->size_bytes, i);
+  }
+  for (Packet* p : slots) pool.release(p);
+  EXPECT_EQ(pool.free_count(), n);
+  EXPECT_EQ(pool.acquire(), slots.back());  // recycled, not newly carved
+  EXPECT_EQ(pool.allocated(), n);
+}
+
 #ifndef NDEBUG
 TEST(PacketPoolDeathTest, DoubleReleaseIsCaught) {
   PacketPool pool;
@@ -273,7 +296,37 @@ TEST(Link, SteadyStateHopAllocatesNothing) {
   q.run_until(10e-3);
   EXPECT_GT(hops, hops_before + 100);
   EXPECT_EQ(util::alloc_count() - allocs_before, 0u);
-  EXPECT_EQ(q.packet_pool().allocated(), 1u);  // one slot, recycled forever
+  // Two slots, recycled forever: the delivering slot is released only after
+  // the handler has re-enqueued the packet into a second one.
+  EXPECT_EQ(q.packet_pool().allocated(), 2u);
+}
+
+TEST(Link, SetDownReleasesQueuedSlots) {
+  // 1500B at 1Gbps = 12us; propagation 5us. At 13us the first packet is
+  // propagating (its slot parked in a deliver event), the second is being
+  // serialized, and three more wait behind it.
+  EventQueue q;
+  Link link(q, 1e9, 5e-6, 1 << 20, 1e-3);
+  int delivered = 0;
+  link.set_deliver([&](Packet&&) { ++delivered; });
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(link.enqueue(make_packet(1500)));
+  q.run_until(13e-6);
+  const PacketPool& pool = q.packet_pool();
+  EXPECT_EQ(pool.allocated(), 5u);
+  link.set_down(true);
+  EXPECT_EQ(link.stats().drops, 4u);  // the serializing head and the three behind it
+  EXPECT_EQ(link.queue_bytes(), 0u);
+  q.run_until(1.0);  // the in-flight delivery fires into the down link
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(pool.free_count(), pool.allocated());
+
+  link.set_down(false);
+  ASSERT_TRUE(link.enqueue(make_packet(1500)));
+  q.run_until(2.0);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(link.stats().tx_packets, 2u);
+  EXPECT_EQ(pool.allocated(), 5u);
+  EXPECT_EQ(pool.free_count(), pool.allocated());
 }
 
 TEST(Link, PerKindByteCounters) {
@@ -459,6 +512,58 @@ GoldenRun run_golden_scenario(const topology::Topology& topo,
   }
   out.digest = h;
   return out;
+}
+
+// Data packets that reach a host on a converged k=4 fat-tree under Contra,
+// as the transport's data inspector sees them: whether each carried a cold
+// PathRecord, and the switch trace of the last one.
+struct ColdRecordAudit {
+  uint64_t packets = 0;
+  uint64_t with_record = 0;
+  std::vector<uint16_t> last_trace;
+};
+
+ColdRecordAudit audit_cold_records(bool capture_traces) {
+  const topology::Topology topo = topology::fat_tree(4, topology::LinkParams{10e9, 1e-6});
+  const compiler::CompileResult compiled =
+      compiler::compile("minimize((path.len, path.util))", topo);
+  const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
+  SimConfig config;
+  config.capture_traces = capture_traces;
+  Simulator sim(topo, config);
+  const HostId src = sim.add_host(topo.find("e0_0"));
+  const HostId dst = sim.add_host(topo.find("e3_1"));
+  dataplane::install_contra_network(sim, compiled, evaluator);
+  TransportManager transport(sim);
+  ColdRecordAudit audit;
+  transport.set_data_inspector([&](const Packet& packet) {
+    ++audit.packets;
+    if (!packet.path) return;
+    ++audit.with_record;
+    audit.last_trace = packet.path->trace;
+  });
+  sim.start();
+  sim.run_until(2e-3);
+  transport.start_flow(src, dst, 30'000, sim.now());
+  sim.run_until(sim.now() + 0.05);
+  EXPECT_EQ(transport.completed_flows().size(), 1u);
+  return audit;
+}
+
+TEST(Packet, PathRecordOnlyOnRequest) {
+  // Traces and flow telemetry off: no data packet allocates a cold record.
+  const ColdRecordAudit plain = audit_cold_records(/*capture_traces=*/false);
+  EXPECT_GT(plain.packets, 10u);
+  EXPECT_EQ(plain.with_record, 0u);
+
+  // Traces on: every data packet carries its switch path, edge to edge.
+  const topology::Topology topo = topology::fat_tree(4, topology::LinkParams{10e9, 1e-6});
+  const ColdRecordAudit traced = audit_cold_records(/*capture_traces=*/true);
+  EXPECT_EQ(traced.packets, plain.packets);
+  EXPECT_EQ(traced.with_record, traced.packets);
+  ASSERT_EQ(traced.last_trace.size(), 5u);  // edge, agg, core, agg, edge
+  EXPECT_EQ(traced.last_trace.front(), topo.find("e0_0"));
+  EXPECT_EQ(traced.last_trace.back(), topo.find("e3_1"));
 }
 
 TEST(Determinism, GoldenReplayFatTreeAndAbilene) {

@@ -1,6 +1,6 @@
 // contrac — the Contra policy compiler, as a command-line tool.
 //
-//   contrac --policy "minimize((path.len, path.util))" --builtin fat-tree:4 \
+//   contrac --policy "minimize((path.len, path.util))" --builtin fat-tree:4
 //           [--out <dir>] [--print-pg] [--print-analysis] [--quiet]
 //   contrac --policy-file policy.txt --topology topo.txt --out p4/
 //

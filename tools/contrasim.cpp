@@ -1,9 +1,10 @@
 // contrasim — run a performance-aware-routing experiment from the command
 // line: pick a topology, a dataplane (contra / ecmp / hula / spain / sp), a
-// workload, and get FCT + overhead numbers.
+// workload, and get FCT + overhead numbers. For example (one command line,
+// wrapped here):
 //
-//   contrasim --builtin fat-tree:4 --plane contra \
-//             --policy "minimize((path.len, path.util))" \
+//   contrasim --builtin fat-tree:4 --plane contra
+//             --policy "minimize((path.len, path.util))"
 //             --workload web-search --load 0.6 --duration-ms 30 --seed 1
 //
 // Hosts attach to fat-tree edge switches / leaf-spine leaves automatically;
