@@ -43,6 +43,10 @@
 
 #include <thread>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "compiler/compiler.h"
 #include "dataplane/contra_switch.h"
 #include "obs/telemetry.h"
@@ -482,8 +486,7 @@ ChurnModeRun run_churn_mode(bool triggered, double converge_s, double wave_s) {
   const compiler::CompileResult compiled =
       compiler::compile("minimize((path.len, path.util))", topo);
   const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
-  sim::SimConfig config;
-  sim::Simulator sim(topo, config);
+  sim::ParallelSimulator sim(topo, sim::SimConfig{});  // one shard
   dataplane::ContraSwitchOptions options;
   options.probe_period_s = 64e-6;
   options.probe_suppression = true;
@@ -496,7 +499,7 @@ ChurnModeRun run_churn_mode(bool triggered, double converge_s, double wave_s) {
     options.holddown_periods = 2.0;
   }
   const std::vector<dataplane::ContraSwitch*> switches =
-      dataplane::install_contra_network(sim, compiled, evaluator, options);
+      dataplane::install_contra_network(sim.shard_sim(0), compiled, evaluator, options);
   sim.start();
   sim.run_until(converge_s);
   const uint64_t baseline = usable_digest_of(switches, sim.now());
@@ -519,7 +522,7 @@ ChurnModeRun run_churn_mode(bool triggered, double converge_s, double wave_s) {
   churn.restart(topo.find("a1_0"), w3 + 0.05 * wave_s);
   churn.arm(sim);
 
-  const uint64_t events_before = sim.events().events_processed();
+  const uint64_t events_before = sim.events_processed();
   const auto start = Clock::now();
   for (int wave = 0; wave < 4; ++wave) {
     sim.run_until(converge_s + (wave + 1) * wave_s);
@@ -536,7 +539,7 @@ ChurnModeRun run_churn_mode(bool triggered, double converge_s, double wave_s) {
   }
   ChurnModeRun run;
   run.wall_s = seconds_since(start);
-  run.events = sim.events().events_processed() - events_before;
+  run.events = sim.events_processed() - events_before;
   run.digest = baseline;
   return run;
 }
@@ -637,101 +640,6 @@ ScalingRun run_parallel_probe_flood(const topology::Topology& topo,
   return run;
 }
 
-// ---- lookahead A/B ---------------------------------------------------------
-//
-// Barrier-count comparison of the per-channel lookahead scheduler against
-// the legacy global-min epoch grid, on a heterogeneous-delay topology (three
-// clusters chained by a narrow 3.1us and a wide 97us cut channel — the shape
-// the per-channel horizon matrix exists for). Digest equality is a hard
-// gate; the barrier reduction is the reported win.
-
-struct LookaheadAb {
-  uint64_t phases_channel = 0;
-  uint64_t phases_global_min = 0;
-  uint64_t idle_skips = 0;
-  uint64_t digest_channel = 0;
-  uint64_t digest_global_min = 0;
-  double sim_seconds = 0.0;
-
-  double barrier_reduction() const {
-    return phases_channel > 0 ? double(phases_global_min) / phases_channel : 0.0;
-  }
-};
-
-topology::Topology heterogeneous_chain() {
-  topology::Topology topo;
-  std::vector<topology::NodeId> nodes;
-  for (int c = 0; c < 3; ++c) {
-    for (int i = 0; i < 4; ++i) {
-      nodes.push_back(topo.add_node(std::string(1, char('a' + c)) + std::to_string(i)));
-    }
-  }
-  const double intra[3] = {1.3e-6, 1.7e-6, 2.3e-6};
-  for (int c = 0; c < 3; ++c) {
-    for (int i = 0; i < 3; ++i) {
-      topo.add_link(nodes[c * 4 + i], nodes[c * 4 + i + 1], 10e9, intra[c]);
-    }
-    topo.add_link(nodes[c * 4], nodes[c * 4 + 2], 10e9, intra[c] * 1.5);
-  }
-  topo.add_link(nodes[3], nodes[4], 10e9, 3.1e-6);  // narrow cut channel
-  topo.add_link(nodes[7], nodes[8], 10e9, 97e-6);   // wide cut channel
-  return topo;
-}
-
-LookaheadAb run_lookahead_ab(double sim_seconds) {
-  const topology::Topology topo = heterogeneous_chain();
-  const compiler::CompileResult compiled = compiler::compile("minimize(path.len)", topo);
-  const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
-
-  LookaheadAb ab;
-  ab.sim_seconds = sim_seconds;
-  for (const bool global_min : {false, true}) {
-    sim::SimConfig config;
-    config.shards = 3;
-    config.workers = 2;
-    config.global_min_epochs = global_min;
-    sim::ParallelSimulator psim(topo, config);
-    dataplane::ContraSwitchOptions options;
-    // The paper-rule probe period for WAN-ish delays; also what the unit
-    // test uses, so the bench and test measure the same schedule shape.
-    options.probe_period_s = 256e-6;
-    psim.for_each_shard([&](sim::Simulator& shard_sim) {
-      dataplane::install_contra_network(shard_sim, compiled, evaluator, options);
-    });
-    psim.start();
-    psim.run_until(sim_seconds);
-
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(psim.events_processed());
-    for (topology::LinkId id = 0; id < topo.num_links(); ++id) {
-      uint64_t tx_packets = 0, tx_bytes = 0;
-      for (uint32_t s = 0; s < psim.num_shards(); ++s) {
-        const sim::LinkStats& ls = psim.shard_sim(s).link(id).stats();
-        tx_packets += ls.tx_packets;
-        tx_bytes += ls.tx_bytes;
-      }
-      mix(tx_packets);
-      mix(tx_bytes);
-    }
-    if (global_min) {
-      ab.phases_global_min = psim.epochs_completed();
-      ab.digest_global_min = h;
-    } else {
-      ab.phases_channel = psim.epochs_completed();
-      ab.digest_channel = h;
-      for (uint32_t s = 0; s < psim.num_shards(); ++s) {
-        obs::Telemetry& tel = psim.shard_sim(s).telemetry();
-        ab.idle_skips += tel.metrics().value(tel.core().par_idle_skips);
-      }
-    }
-  }
-  return ab;
-}
-
 std::string run_parallel_scaling(double sim_seconds) {
   const topology::Topology topo =
       topology::fat_tree(4, topology::LinkParams{10e9, 1e-6});
@@ -778,37 +686,11 @@ std::string run_parallel_scaling(double sim_seconds) {
       speedup_w4, speedup_w8, cores,
       speedup_informational ? " (informational: workers exceed cores)" : "");
 
-  const LookaheadAb ab = run_lookahead_ab(sim_seconds);
-  if (ab.digest_channel != ab.digest_global_min) {
-    std::fprintf(stderr,
-                 "parallel_scaling: lookahead scheduler digest diverges from "
-                 "global-min grid — determinism broken\n");
-    std::exit(1);
-  }
-  std::printf(
-      "lookahead_ab: %llu phases (per-channel) vs %llu (global-min grid), "
-      "%.1fx fewer barriers, %llu idle skips, digests match\n",
-      static_cast<unsigned long long>(ab.phases_channel),
-      static_cast<unsigned long long>(ab.phases_global_min), ab.barrier_reduction(),
-      static_cast<unsigned long long>(ab.idle_skips));
-
   std::ostringstream os;
   os << "{\n    \"shards\": " << kShards << ",\n    \"hardware_concurrency\": " << cores
      << ",\n    \"bit_identical\": true,\n    \"speedup_w4\": " << speedup_w4
      << ",\n    \"speedup_w8\": " << speedup_w8
      << ",\n    \"speedup_informational\": " << (speedup_informational ? "true" : "false");
-  {
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  ",\n    \"lookahead_ab\": {\"sim_seconds\": %.6f, "
-                  "\"phases_channel\": %llu, \"phases_global_min\": %llu, "
-                  "\"barrier_reduction\": %.2f, \"idle_skips\": %llu, "
-                  "\"digest_match\": true}",
-                  ab.sim_seconds, static_cast<unsigned long long>(ab.phases_channel),
-                  static_cast<unsigned long long>(ab.phases_global_min),
-                  ab.barrier_reduction(), static_cast<unsigned long long>(ab.idle_skips));
-    os << buf;
-  }
   os << ",\n    \"runs\": [\n";
   for (size_t i = 0; i < runs.size(); ++i) {
     const ScalingRun& run = runs[i];
@@ -918,24 +800,15 @@ ScenarioResult run_probe_flood_flowtrack_off(double sim_seconds, uint64_t worklo
 //     fewer events than the projected pure packet-level cost of the same
 //     workload (ceil(bytes/mss) data packets + as many ACKs, each crossing
 //     the flow's topology-exact hop count at 2 events per link-hop);
-//   * bounded RSS — VmHWM after the run stays under the scenario ceiling;
+//   * bounded RSS — the scenario's peak resident set stays under its
+//     ceiling. Each scenario runs in its own child process, forked before
+//     this process has grown, and its peak is the child's ru_maxrss;
 //   * zero-alloc steady state — with a settled all-fluid flow set, a window
 //     of rate-recomputation quanta performs exactly zero heap allocations.
 
-/// Peak resident set (VmHWM) of this process, in MiB.
-uint64_t vm_hwm_mib() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtoull(line.c_str() + 6, nullptr, 10) / 1024;
-    }
-  }
-  return 0;
-}
-
 struct HybridScaleSpec {
   const char* name = "";
+  topology::Topology (*topo)() = nullptr;
   uint64_t target_flows = 0;
   uint32_t sample_every = 256;   ///< 1-in-n flows kept packet-level
   double min_event_ratio = 50.0;
@@ -945,12 +818,26 @@ struct HybridScaleSpec {
   uint32_t (*hops)(sim::HostId, sim::HostId) = nullptr;
 };
 
-ScenarioResult run_hybrid_scale(const topology::Topology& topo, const HybridScaleSpec& spec) {
+/// What a hybrid scale run reports back from its child process (plain data,
+/// written whole through a pipe).
+struct HybridScaleRun {
+  uint64_t events = 0;
+  double wall_s = 0.0;
+  uint64_t flows = 0;
+  uint64_t fluid_flows = 0;
+  uint64_t projected = 0;
+  double ratio = 0.0;
+  uint64_t window_allocs = 0;
+  uint64_t fluid_ticks = 0;
+  uint64_t digest = 0;
+};
+
+HybridScaleRun run_hybrid_scale(const HybridScaleSpec& spec) {
+  const topology::Topology topo = spec.topo();
   const compiler::CompileResult compiled = compiler::compile("minimize(path.len)", topo);
   const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
 
-  sim::SimConfig config;
-  sim::Simulator sim(topo, config);
+  sim::ParallelSimulator sim(topo, sim::SimConfig{});  // one shard
   std::vector<sim::HostId> hosts = sim::attach_hosts_to_fat_tree_edges(sim, 2);
   if (hosts.empty()) hosts = sim::attach_hosts_to_leaves(sim, 2);
 
@@ -963,12 +850,12 @@ ScenarioResult run_hybrid_scale(const topology::Topology& topo, const HybridScal
   // backstop, not the workload, would dominate the event count. Half a
   // second is still far tighter than production routing keepalives.
   options.keepalive_rounds = 512;
-  dataplane::install_contra_network(sim, compiled, evaluator, options);
+  dataplane::install_contra_network(sim.shard_sim(0), compiled, evaluator, options);
 
   sim::TransportConfig tconfig;
   tconfig.hybrid = true;
   tconfig.hybrid_sample_every = spec.sample_every;
-  sim::TransportManager transport(sim, tconfig);
+  sim::ParallelTransport transport(sim, tconfig);
   sim.start();
 
   std::vector<sim::HostId> senders, receivers;
@@ -994,7 +881,7 @@ ScenarioResult run_hybrid_scale(const topology::Topology& topo, const HybridScal
 
   constexpr uint64_t kMss = 1460;
   uint64_t projected = 0;
-  const uint64_t events_before = sim.events().events_processed();
+  const uint64_t events_before = sim.events_processed();
   const auto start = Clock::now();
   workload::GeneratedFlow flow;
   const double end = wl.start + wl.duration;
@@ -1027,38 +914,35 @@ ScenarioResult run_hybrid_scale(const topology::Topology& topo, const HybridScal
     std::exit(1);
   }
 
-  ScenarioResult result;
-  result.name = spec.name;
-  result.wall_s = seconds_since(start);
-  result.events = sim.events().events_processed() - events_before;
+  HybridScaleRun run;
+  run.wall_s = seconds_since(start);
+  run.events = sim.events_processed() - events_before;
   // A pure packet-level run keeps the identical control plane but replaces
-  // the fluid flows (and their quantum ticks) with full per-packet cost:
-  //   pure = actual − sampled-subset data events − fluid ticks + projected.
+  // the fluid flows with full per-packet cost (fluid ticks run between
+  // engine spans, not as events):
+  //   pure = actual − sampled-subset data events + projected.
   // The sampled subset is statistically 1/n of the same projection.
-  const sim::FluidStats& fs = transport.fluid_engine()->stats();
+  const sim::FluidStats& fs = fluid->stats();
   const double sampled_est = double(projected) / double(spec.sample_every);
-  const double pure_events =
-      double(result.events) - sampled_est - double(fs.ticks) + double(projected);
-  const double ratio = result.events ? pure_events / double(result.events) : 0.0;
-  const uint64_t rss_mib = vm_hwm_mib();
-  if (ratio < spec.min_event_ratio) {
+  const double pure_events = double(run.events) - sampled_est + double(projected);
+  run.ratio = run.events ? pure_events / double(run.events) : 0.0;
+  if (run.ratio < spec.min_event_ratio) {
     std::fprintf(stderr, "%s: event ratio %.1fx < %.0fx (projected %llu, actual %llu)\n",
-                 spec.name, ratio, spec.min_event_ratio,
+                 spec.name, run.ratio, spec.min_event_ratio,
                  static_cast<unsigned long long>(projected),
-                 static_cast<unsigned long long>(result.events));
+                 static_cast<unsigned long long>(run.events));
     std::exit(1);
   }
-  if (rss_mib > spec.rss_ceiling_mib) {
-    std::fprintf(stderr, "%s: peak RSS %llu MiB exceeds the %llu MiB ceiling\n", spec.name,
-                 static_cast<unsigned long long>(rss_mib),
-                 static_cast<unsigned long long>(spec.rss_ceiling_mib));
-    std::exit(1);
-  }
+  run.flows = stream.emitted();
+  run.fluid_flows = fs.flows_completed;
+  run.projected = projected;
+  run.fluid_ticks = fs.ticks;
+  run.digest = fluid->completion_digest();
 
   // Steady-state zero-alloc window: park a fixed all-fluid flow set (bytes
   // far beyond the window, no admissions, no completions) and let the engine
   // tick; once warm, a rate-recomputation quantum must allocate nothing.
-  transport.use_fluid(fluid, 0);
+  transport.shard_transport(0).use_fluid(fluid, 0);
   const double quantum = transport.config().fluid_quantum_s;
   const double t0 = sim.now() + 1e-3;
   for (uint32_t i = 0; i < 512; ++i) {
@@ -1068,14 +952,63 @@ ScenarioResult run_hybrid_scale(const topology::Topology& topo, const HybridScal
   sim.run_until(t0 + 16 * quantum);  // admit + warm the water-fill scratch
   const uint64_t allocs_before = util::alloc_count();
   sim.run_until(t0 + 80 * quantum);
-  const uint64_t window_allocs = util::alloc_count() - allocs_before;
-  if (window_allocs != 0) {
+  run.window_allocs = util::alloc_count() - allocs_before;
+  if (run.window_allocs != 0) {
     std::fprintf(stderr, "%s: %llu allocations in steady-state fluid window (want 0)\n",
-                 spec.name, static_cast<unsigned long long>(window_allocs));
+                 spec.name, static_cast<unsigned long long>(run.window_allocs));
+    std::exit(1);
+  }
+  return run;
+}
+
+/// Runs one hybrid scale scenario in a forked child and applies the RSS
+/// gate to the child's peak resident set. Call it while this process is
+/// still small and single-threaded: the child's peak includes what it
+/// inherited at the fork.
+ScenarioResult run_hybrid_scale_isolated(const HybridScaleSpec& spec) {
+  std::fflush(stdout);
+  std::fflush(stderr);
+  int fds[2];
+  if (pipe(fds) != 0) {
+    std::perror("pipe");
+    std::exit(1);
+  }
+  const pid_t pid = fork();
+  if (pid < 0) {
+    std::perror("fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    const HybridScaleRun run = run_hybrid_scale(spec);
+    const bool sent = write(fds[1], &run, sizeof run) == static_cast<ssize_t>(sizeof run);
+    std::fflush(stdout);
+    std::fflush(stderr);
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  HybridScaleRun run;
+  const bool received = read(fds[0], &run, sizeof run) == static_cast<ssize_t>(sizeof run);
+  close(fds[0]);
+  int status = 0;
+  rusage usage{};
+  const bool reaped = wait4(pid, &status, 0, &usage) == pid;
+  if (!reaped || !received || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    std::fprintf(stderr, "%s: child run failed\n", spec.name);
+    std::exit(1);
+  }
+  const uint64_t rss_mib = static_cast<uint64_t>(usage.ru_maxrss) / 1024;  // ru_maxrss is KiB
+  if (rss_mib > spec.rss_ceiling_mib) {
+    std::fprintf(stderr, "%s: peak RSS %llu MiB exceeds the %llu MiB ceiling\n", spec.name,
+                 static_cast<unsigned long long>(rss_mib),
+                 static_cast<unsigned long long>(spec.rss_ceiling_mib));
     std::exit(1);
   }
 
-  std::ostringstream extra;
+  ScenarioResult result;
+  result.name = spec.name;
+  result.events = run.events;
+  result.wall_s = run.wall_s;
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 ", \"flows\": %llu, \"fluid_flows\": %llu, \"packet_flows\": %llu, "
@@ -1083,21 +1016,20 @@ ScenarioResult run_hybrid_scale(const topology::Topology& topo, const HybridScal
                 "\"rss_peak_mib\": %llu, \"rss_ceiling_mib\": %llu, "
                 "\"steady_window_allocs\": %llu, \"fluid_ticks\": %llu, "
                 "\"fluid_digest\": \"%016llx\"",
-                static_cast<unsigned long long>(stream.emitted()),
-                static_cast<unsigned long long>(fs.flows_completed),
-                static_cast<unsigned long long>(stream.emitted() - fs.flows_completed),
-                static_cast<unsigned long long>(projected), ratio,
+                static_cast<unsigned long long>(run.flows),
+                static_cast<unsigned long long>(run.fluid_flows),
+                static_cast<unsigned long long>(run.flows - run.fluid_flows),
+                static_cast<unsigned long long>(run.projected), run.ratio,
                 static_cast<unsigned long long>(rss_mib),
                 static_cast<unsigned long long>(spec.rss_ceiling_mib),
-                static_cast<unsigned long long>(window_allocs),
-                static_cast<unsigned long long>(fs.ticks),
-                static_cast<unsigned long long>(fluid->completion_digest()));
-  extra << buf;
-  result.extra_json = extra.str();
+                static_cast<unsigned long long>(run.window_allocs),
+                static_cast<unsigned long long>(run.fluid_ticks),
+                static_cast<unsigned long long>(run.digest));
+  result.extra_json = buf;
 
   std::printf("%s: %llu flows, %.1fx fewer events than packet-level projection, "
               "RSS %llu MiB (ceiling %llu), steady window 0 allocs\n",
-              spec.name, static_cast<unsigned long long>(stream.emitted()), ratio,
+              spec.name, static_cast<unsigned long long>(run.flows), run.ratio,
               static_cast<unsigned long long>(rss_mib),
               static_cast<unsigned long long>(spec.rss_ceiling_mib));
   return result;
@@ -1197,6 +1129,31 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The hybrid scale scenarios run once, outside best-of-N: convergence on
+  // the k=16 fabric dominates their setup and repeating a million-flow run
+  // buys no extra signal for a gate that is primarily about correctness
+  // (ratio, RSS, allocs) rather than wall-clock. They run first, each in a
+  // child forked while this process is small, so each reports its own peak
+  // RSS; their results join the report after the best-of-N scenarios.
+  std::vector<ScenarioResult> hybrid;
+  if (run_hybrid) {
+    HybridScaleSpec fabric;
+    fabric.name = "hybrid_fabric";
+    fabric.topo = [] { return topology::fat_tree(16, topology::LinkParams{10e9, 1e-6}); };
+    fabric.target_flows = hybrid_flows;
+    fabric.rss_ceiling_mib = 4096;
+    fabric.hops = fat_tree16_hops;
+    hybrid.push_back(run_hybrid_scale_isolated(fabric));
+
+    HybridScaleSpec leaf;
+    leaf.name = "hybrid_leaf_spine";
+    leaf.topo = [] { return topology::leaf_spine(64, 32, topology::LinkParams{10e9, 1e-6}); };
+    leaf.target_flows = std::max<uint64_t>(hybrid_flows / 4, 10'000);
+    leaf.rss_ceiling_mib = 2048;
+    leaf.hops = leaf_spine_hops;
+    hybrid.push_back(run_hybrid_scale_isolated(leaf));
+  }
+
   // Best-of-N: wall-clock noise only ever slows a run down.
   std::vector<ScenarioResult> best;
   for (int rep = 0; rep < repeats; ++rep) {
@@ -1235,27 +1192,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The hybrid scale scenarios run once, outside best-of-N: convergence on
-  // the k=16 fabric dominates their setup and repeating a million-flow run
-  // buys no extra signal for a gate that is primarily about correctness
-  // (ratio, RSS, allocs) rather than wall-clock.
-  if (run_hybrid) {
-    HybridScaleSpec fabric;
-    fabric.name = "hybrid_fabric";
-    fabric.target_flows = hybrid_flows;
-    fabric.rss_ceiling_mib = 4096;
-    fabric.hops = fat_tree16_hops;
-    best.push_back(
-        run_hybrid_scale(topology::fat_tree(16, topology::LinkParams{10e9, 1e-6}), fabric));
-
-    HybridScaleSpec leaf;
-    leaf.name = "hybrid_leaf_spine";
-    leaf.target_flows = std::max<uint64_t>(hybrid_flows / 4, 10'000);
-    leaf.rss_ceiling_mib = 2048;
-    leaf.hops = leaf_spine_hops;
-    best.push_back(
-        run_hybrid_scale(topology::leaf_spine(64, 32, topology::LinkParams{10e9, 1e-6}), leaf));
-  }
+  best.insert(best.end(), hybrid.begin(), hybrid.end());
 
   for (const ScenarioResult& r : best) {
     std::printf("%-25s %9llu events  %8.4f s  %12.0f ev/s  %.4f allocs/event\n",

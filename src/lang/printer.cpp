@@ -80,11 +80,22 @@ std::string print_expr(const ExprPtr& e) {
       }
       // An `if` operand must be parenthesized: its else-branch would
       // otherwise greedily absorb the rest of the sum on reparse.
-      auto operand = [](const ExprPtr& x) {
-        const std::string s = print_expr(x);
-        return x->kind == Expr::Kind::kIf ? "(" + s + ")" : s;
+      // Appended piece by piece: GCC 12 flags `"(" + ...` chains with a
+      // false -Wrestrict warning in optimized builds.
+      auto operand = [](std::string* out, const ExprPtr& x) {
+        const bool wrap = x->kind == Expr::Kind::kIf;
+        if (wrap) *out += '(';
+        *out += print_expr(x);
+        if (wrap) *out += ')';
       };
-      return "(" + operand(e->lhs) + " " + bin_op_name(e->op) + " " + operand(e->rhs) + ")";
+      std::string out = "(";
+      operand(&out, e->lhs);
+      out += ' ';
+      out += bin_op_name(e->op);
+      out += ' ';
+      operand(&out, e->rhs);
+      out += ')';
+      return out;
     }
     case Expr::Kind::kIf:
       return "if " + print_test(e->cond, 0) + " then " + print_expr(e->then_branch) + " else " +

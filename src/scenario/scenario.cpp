@@ -8,7 +8,6 @@
 #include <memory>
 #include <ostream>
 #include <stdexcept>
-#include <type_traits>
 
 #include "compiler/compiler.h"
 #include "dataplane/ecmp_switch.h"
@@ -63,34 +62,12 @@ void open_output(std::ofstream& out, const std::string& path, const char* what) 
   if (!out) throw std::runtime_error(std::string("cannot open ") + what + " file: " + path);
 }
 
-/// Appends one metrics snapshot line per interval; reschedules itself. The
-/// capture is a single pointer so the handler stays within the event queue's
-/// inline capacity. Not copyable: a scheduled tick holds its address.
-struct MetricsExporter {
-  MetricsExporter() = default;
-  MetricsExporter(const MetricsExporter&) = delete;
-  MetricsExporter& operator=(const MetricsExporter&) = delete;
-
-  sim::Simulator* sim = nullptr;
-  std::ostream* out = nullptr;
-  double interval_s = 0.0;
-
-  void tick() {
-    *out << sim->telemetry().metrics().snapshot_json(sim->now()) << "\n";
-    arm();
-  }
-  void arm() {
-    MetricsExporter* self = this;
-    sim->events().schedule_in(interval_s, [self] { self->tick(); });
-  }
-};
-
 /// Samples util EWMA + queue depth for a fixed set of links into its own
-/// LinkTimeline every interval; reschedules itself (single-pointer capture,
-/// same discipline as MetricsExporter). Under the sharded engine one sampler
-/// runs per shard over the links that shard owns, so shard timelines stay
-/// disjoint and merge by union. Not copyable: a scheduled tick holds its
-/// address.
+/// LinkTimeline every interval; reschedules itself. The capture is a single
+/// pointer so the handler stays within the event queue's inline capacity.
+/// One sampler runs per shard over the links that shard owns, so shard
+/// timelines stay disjoint and merge by union. Not copyable: a scheduled
+/// tick holds its address.
 struct LinkSampler {
   LinkSampler() = default;
   LinkSampler(const LinkSampler&) = delete;
@@ -134,8 +111,7 @@ void compile_policy(const Scenario& sc, Policy* policy) {
       std::make_unique<pg::PolicyEvaluator>(policy->compiled.graph, policy->compiled.decomposition);
 }
 
-/// Installs the plane on the switches `sim` owns: the whole fabric on the
-/// serial engine, one shard's switches on the sharded one.
+/// Installs the plane on the switches one shard's `sim` owns.
 void install_plane(sim::Simulator& sim, const Scenario& sc, const Policy& policy,
                    std::vector<dataplane::ContraSwitch*>* contra_switches) {
   switch (sc.plane) {
@@ -154,9 +130,8 @@ void install_plane(sim::Simulator& sim, const Scenario& sc, const Policy& policy
   }
 }
 
-template <typename Engine>
-void attach_hosts(Engine& engine, const Scenario& sc, std::vector<sim::HostId>* senders,
-                  std::vector<sim::HostId>* receivers) {
+void attach_hosts(sim::ParallelSimulator& engine, const Scenario& sc,
+                  std::vector<sim::HostId>* senders, std::vector<sim::HostId>* receivers) {
   if (!sc.sender_switches.empty()) {
     *senders = sim::attach_hosts(engine, sc.sender_switches);
     *receivers = sim::attach_hosts(engine, sc.receiver_switches);
@@ -263,32 +238,28 @@ void write_dataplane_outputs(const Scenario& sc, const Policy& policy,
   }
 }
 
-/// One run on `Engine` (sim::Simulator or sim::ParallelSimulator). The
-/// set-up order is fixed — hosts, failure, churn, trace, metrics, policy,
-/// plane, workload, samplers, manifest — and only the engine-specific hooks
-/// differ: the serial engine streams its trace and exports metrics from
-/// events, the sharded one merges both at phase boundaries and after the run.
-template <typename Engine>
-Result run_on(const Scenario& sc) {
-  constexpr bool kSharded = std::is_same_v<Engine, sim::ParallelSimulator>;
-  using Transport = std::conditional_t<kSharded, sim::ParallelTransport, sim::TransportManager>;
+}  // namespace
+
+/// The set-up order is fixed: hosts, failure, churn, trace, metrics, policy,
+/// plane, workload, samplers, manifest.
+Result run(const Scenario& sc) {
   const topology::Topology& topo = sc.topo;
   const Outputs& out = sc.out;
   const bool tracing = !out.trace_path.empty();
   const sim::Time traffic_end = sc.workload.start + sc.workload.duration;
   const sim::Time run_end = traffic_end + sc.drain_s;
 
-  // Declared before the engine and the transport, which hold pointers into
-  // them.
+  // Declared before the engine, which holds pointers into them.
   std::ofstream trace_file;
   obs::JsonlTraceSink trace_sink(trace_file);
   obs::ConvergenceTracker convergence;
   obs::FanoutSink fanout;
-  obs::FlowTracker flow_tracker;
-  MetricsExporter exporter;
   std::unique_ptr<obs::EngineProfiler> profiler;
 
-  Engine engine(topo, sc.sim);
+  sim::ParallelSimulator engine(topo, sc.sim);
+  if (sc.sample_queues && engine.num_shards() > 1) {
+    throw std::runtime_error("queue sampling needs one shard");
+  }
   std::vector<sim::HostId> senders, receivers;
   attach_hosts(engine, sc, &senders, &receivers);
   if (senders.empty() || receivers.empty()) {
@@ -296,12 +267,7 @@ Result run_on(const Scenario& sc) {
   }
 
   if (sc.fail_link != topology::kInvalidLink && sc.fail_at_s > 0) {
-    if constexpr (kSharded) {
-      engine.schedule_cable_event(sc.fail_at_s, sc.fail_link, /*down=*/true);
-    } else {
-      engine.events().schedule_in(sc.fail_at_s,
-                                  [&engine, link = sc.fail_link] { engine.fail_cable(link); });
-    }
+    engine.schedule_cable_event(sc.fail_at_s, sc.fail_link, /*down=*/true);
   } else if (sc.fail_link != topology::kInvalidLink) {
     // Before installing: static planes route on the degraded topology;
     // adaptive planes discover it through probes anyway.
@@ -313,42 +279,21 @@ Result run_on(const Scenario& sc) {
     open_output(trace_file, out.trace_path, "--telemetry-out");
     fanout.add(&trace_sink);
     fanout.add(&convergence);
-    if constexpr (kSharded) {
-      engine.enable_tracing();
-    } else {
-      engine.telemetry().set_sink(&fanout);
-    }
+    engine.enable_tracing(&fanout);
   }
   if (out.metrics != nullptr && out.metrics_interval_s > 0) {
-    if constexpr (kSharded) {
-      engine.set_metrics_snapshots(out.metrics_interval_s, out.metrics);
-    } else {
-      exporter.sim = &engine;
-      exporter.out = out.metrics;
-      exporter.interval_s = out.metrics_interval_s;
-      exporter.arm();
-    }
+    engine.set_metrics_snapshots(out.metrics_interval_s, out.metrics);
   }
 
   Policy policy;
   compile_policy(sc, &policy);
   std::vector<dataplane::ContraSwitch*> contra_switches;
-  if constexpr (kSharded) {
-    engine.for_each_shard(
-        [&](sim::Simulator& shard) { install_plane(shard, sc, policy, &contra_switches); });
-  } else {
-    install_plane(engine, sc, policy, &contra_switches);
-  }
+  engine.for_each_shard(
+      [&](sim::Simulator& shard) { install_plane(shard, sc, policy, &contra_switches); });
 
-  Transport transport(engine, sc.transport);
+  sim::ParallelTransport transport(engine, sc.transport);
   if (!out.flows_path.empty() || !out.paths_path.empty() || out.audit) {
-    if constexpr (kSharded) {
-      transport.enable_flow_tracking(out.path_sample_every);
-    } else {
-      transport.set_flow_tracker(&flow_tracker);
-      transport.set_path_sample_every(out.path_sample_every);
-      engine.set_flow_telemetry(true);
-    }
+    transport.enable_flow_tracking(out.path_sample_every);
   }
   // A Poisson flow list submitted up front, or a lazy stream the traffic
   // window pumps.
@@ -361,42 +306,33 @@ Result run_on(const Scenario& sc) {
     workload::submit(transport, flows);
   }
 
-  // Link samplers over the links each simulator owns (transmit side): shard
+  // Link samplers over the links each shard owns (transmit side): shard
   // timelines are disjoint, so the merged timeline is workers-invariant.
   std::vector<std::unique_ptr<LinkSampler>> samplers;
   if (!out.links_path.empty() || out.audit) {
-    if constexpr (kSharded) {
-      for (uint32_t s = 0; s < engine.num_shards(); ++s) {
-        std::vector<topology::LinkId> links;
-        for (topology::LinkId l = 0; l < topo.num_links(); ++l) {
-          if (engine.shard_of_node(topo.link(l).from) == s) links.push_back(l);
-        }
-        samplers.push_back(start_link_sampler(engine.shard_sim(s), std::move(links), sc, run_end));
-      }
-    } else {
+    for (uint32_t s = 0; s < engine.num_shards(); ++s) {
       std::vector<topology::LinkId> links;
-      for (topology::LinkId l = 0; l < topo.num_links(); ++l) links.push_back(l);
-      samplers.push_back(start_link_sampler(engine, std::move(links), sc, run_end));
+      for (topology::LinkId l = 0; l < topo.num_links(); ++l) {
+        if (engine.shard_of_node(topo.link(l).from) == s) links.push_back(l);
+      }
+      samplers.push_back(start_link_sampler(engine.shard_sim(s), std::move(links), sc, run_end));
     }
   }
 
-  // The sharded engine profiles its own phases; the serial one has none, so
-  // its three run windows become coarse spans on a single track.
-  const auto profile_epoch = std::chrono::steady_clock::now();
+  // The three run windows become spans on the scheduler track; with more
+  // than one shard the engine adds its own phase spans beside them.
+  std::chrono::steady_clock::time_point profile_epoch;
   if (!out.profile_path.empty()) {
-    if constexpr (kSharded) {
-      profiler = std::make_unique<obs::EngineProfiler>(engine.num_shards() + 1);
-      engine.set_profiler(profiler.get());
-    } else {
-      profiler = std::make_unique<obs::EngineProfiler>(1);
-    }
+    profiler = std::make_unique<obs::EngineProfiler>(engine.num_shards() + 1);
+    profile_epoch = std::chrono::steady_clock::now();
+    engine.set_profiler(profiler.get());
   }
   const auto run_window = [&](const char* name, auto&& fn) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
-    if (kSharded || !profiler) return;
+    if (!profiler) return;
     const auto t1 = std::chrono::steady_clock::now();
-    profiler->add_span(0, name,
+    profiler->add_span(profiler->scheduler_track(), name,
                        std::chrono::duration<double, std::micro>(t0 - profile_epoch).count(),
                        std::chrono::duration<double, std::micro>(t1 - t0).count());
   };
@@ -415,15 +351,14 @@ Result run_on(const Scenario& sc) {
   const auto run_until = [&](sim::Time t) { engine.run_until(t); };
   engine.start();
   run_window("warmup", [&] { run_until(sc.workload.start); });
-  if constexpr (!kSharded) {
-    if (sc.sample_queues) {
-      // After convergence: every enqueue on a fabric link records the queue
-      // length it found, in MSS units.
-      for (topology::LinkId id = 0; id < topo.num_links(); ++id) {
-        engine.link(id).set_queue_sampler([&result](sim::Time, uint64_t queue_bytes) {
-          result.queue_samples_mss.push_back(static_cast<double>(queue_bytes) / 1500);
-        });
-      }
+  if (sc.sample_queues) {
+    // After convergence: every enqueue on a fabric link records the queue
+    // length it found, in MSS units.
+    sim::Simulator& shard = engine.shard_sim(0);
+    for (topology::LinkId id = 0; id < topo.num_links(); ++id) {
+      shard.link(id).set_queue_sampler([&result](sim::Time, uint64_t queue_bytes) {
+        result.queue_samples_mss.push_back(static_cast<double>(queue_bytes) / 1500);
+      });
     }
   }
   const sim::LinkStats window_start = engine.aggregate_fabric_stats();
@@ -445,8 +380,7 @@ Result run_on(const Scenario& sc) {
   result.reordered_packets = transport.total_reordered_packets();
   for (const dataplane::ContraSwitch* sw : contra_switches) result.contra += sw->stats();
 
-  if constexpr (kSharded) {
-    engine.set_profiler(nullptr);
+  if (engine.num_shards() > 1) {
     report(out.log,
            "engine  : %u shards x %u workers (%u fused at partition), "
            "min cut %.3g us, %llu phases (%llu solo)\n",
@@ -475,21 +409,12 @@ Result run_on(const Scenario& sc) {
            static_cast<unsigned long long>(fluid->completion_digest()));
   }
 
-  if (out.metrics != nullptr) {
-    if constexpr (kSharded) {
-      *out.metrics << engine.merged_metrics_json(engine.now()) << "\n";
-    } else {
-      *out.metrics << engine.telemetry().metrics().snapshot_json(engine.now()) << "\n";
-    }
-  }
-  if constexpr (kSharded) {
-    if (transport.flow_tracking()) flow_tracker = transport.merged_flow_tracker();
-  }
+  if (out.metrics != nullptr) *out.metrics << engine.merged_metrics_json(engine.now()) << "\n";
+  const obs::FlowTracker flow_tracker =
+      transport.flow_tracking() ? transport.merged_flow_tracker() : obs::FlowTracker{};
   write_dataplane_outputs(sc, policy, flow_tracker, samplers, profiler.get());
   if (tracing) {
-    if constexpr (kSharded) {
-      for (const obs::TraceRecord& rec : engine.merged_trace()) fanout.write(rec);
-    }
+    engine.flush_trace();
     fanout.flush();
     report(out.log, "trace   : %llu records -> %s\n",
            static_cast<unsigned long long>(trace_sink.records_written()),
@@ -497,18 +422,6 @@ Result run_on(const Scenario& sc) {
     report(out.log, "%s", convergence.report().to_string().c_str());
   }
   return result;
-}
-
-}  // namespace
-
-Result run(const Scenario& scenario) {
-  if (scenario.sim.workers > 0 || scenario.sim.shards > 0) {
-    if (scenario.sample_queues) {
-      throw std::runtime_error("queue sampling needs the serial engine");
-    }
-    return run_on<sim::ParallelSimulator>(scenario);
-  }
-  return run_on<sim::Simulator>(scenario);
 }
 
 }  // namespace contra::scenario

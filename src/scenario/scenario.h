@@ -1,7 +1,8 @@
 // One experiment runner for every tool: a Scenario names a topology and its
-// hosts, a dataplane, a workload, faults, an engine and opt-in outputs, and
-// run() builds it, runs it and reports. contrasim is a flag parser on top of
-// it; the figure benches and the integration tests are lists of scenarios.
+// hosts, a dataplane, a workload, faults, an engine shape and opt-in
+// outputs, and run() builds it on a sim::ParallelSimulator, runs it and
+// reports. contrasim is a flag parser on top of it; the figure benches and
+// the integration tests are lists of scenarios.
 #pragma once
 
 #include <cstdio>
@@ -35,10 +36,11 @@ std::optional<Plane> parse_plane(const std::string& flag);
 /// Files and streams a run writes besides its Result; all off by default.
 struct Outputs {
   /// Human-readable report: set-up lines (`compiled:`, `telemetry:`), the
-  /// engine banner, FCT/traffic/drops, and one line per output written.
+  /// engine banner (more than one shard only), FCT/traffic/drops, and one
+  /// line per output written.
   std::FILE* log = nullptr;
-  /// Metrics snapshots: the final one, plus one per interval when > 0 (the
-  /// sharded engine emits them at phase boundaries).
+  /// Metrics snapshots: the final one, plus one per interval when > 0
+  /// (with more than one shard, emitted at phase boundaries).
   std::ostream* metrics = nullptr;
   double metrics_interval_s = 0.0;
   /// Control-plane trace (JSONL) with `manifest` written beside it and the
@@ -87,9 +89,11 @@ struct Scenario {
 
   /// Simulated time after the traffic window ends.
   double drain_s = 0.25;
-  /// Runs the sharded engine iff workers > 0 || shards > 0.
+  /// Engine shape: workers and shards both 0, the default, runs one shard —
+  /// the serial engine (see sim::SimConfig).
   sim::SimConfig sim;
-  /// Record every fabric enqueue's queue length after warm-up (serial only).
+  /// Record every fabric enqueue's queue length after warm-up (one shard
+  /// only).
   bool sample_queues = false;
   Outputs out;
 };
@@ -105,8 +109,8 @@ struct Result {
 
 /// Builds and runs `scenario`. Throws std::runtime_error (with the message
 /// to show) on a policy that does not compile, a topology that cannot host
-/// traffic, an output that cannot be written, or queue sampling on the
-/// sharded engine.
+/// traffic, an output that cannot be written, or queue sampling on more
+/// than one shard.
 Result run(const Scenario& scenario);
 
 }  // namespace contra::scenario

@@ -239,53 +239,18 @@ struct ArmItem {
   bool is_wave;
   size_t index;
 };
-
-std::vector<ArmItem> arm_order(const std::vector<ArmItem>& unsorted) {
-  std::vector<ArmItem> items = unsorted;
-  std::stable_sort(items.begin(), items.end(), [](const ArmItem& a, const ArmItem& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.is_wave && !b.is_wave;
-  });
-  return items;
-}
 }  // namespace
-
-void ChurnEngine::arm(Simulator& sim) const {
-  std::vector<ArmItem> items;
-  items.reserve(waves_.size() + events_.size());
-  for (size_t i = 0; i < waves_.size(); ++i) items.push_back({waves_[i].at, true, i});
-  for (size_t i = 0; i < events_.size(); ++i) items.push_back({events_[i].at, false, i});
-  for (const ArmItem& item : arm_order(items)) {
-    if (item.is_wave) {
-      const Wave wave = waves_[item.index];
-      sim.events().schedule_at(wave.at,
-                               [&sim, wave] { sim.note_churn_wave(wave.cls, wave.index); });
-      continue;
-    }
-    const Event ev = events_[item.index];
-    switch (ev.op) {
-      case Op::kFail:
-        sim.events().schedule_at(ev.at, [&sim, ev] { sim.fail_cable(ev.link); });
-        break;
-      case Op::kRestore:
-        sim.events().schedule_at(ev.at, [&sim, ev] { sim.restore_cable(ev.link); });
-        break;
-      case Op::kGraySet:
-        sim.events().schedule_at(ev.at, [&sim, ev] { sim.set_cable_gray(ev.link, ev.gray); });
-        break;
-      case Op::kRestart:
-        sim.events().schedule_at(ev.at, [&sim, ev] { sim.restart_switch(ev.node); });
-        break;
-    }
-  }
-}
 
 void ChurnEngine::arm(ParallelSimulator& psim) const {
   std::vector<ArmItem> items;
   items.reserve(waves_.size() + events_.size());
   for (size_t i = 0; i < waves_.size(); ++i) items.push_back({waves_[i].at, true, i});
   for (size_t i = 0; i < events_.size(); ++i) items.push_back({events_[i].at, false, i});
-  for (const ArmItem& item : arm_order(items)) {
+  std::stable_sort(items.begin(), items.end(), [](const ArmItem& a, const ArmItem& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.is_wave && !b.is_wave;
+  });
+  for (const ArmItem& item : items) {
     if (item.is_wave) {
       const Wave& wave = waves_[item.index];
       psim.schedule_churn_wave(wave.at, wave.cls, wave.index);

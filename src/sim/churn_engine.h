@@ -1,11 +1,11 @@
 // Adversarial failure & churn engine (DESIGN.md §13).
 //
-// Layers on FailureSchedule's scripted-timeline shape but speaks in fault
-// *classes* rather than single cable events: link flaps at a tunable
-// frequency, correlated failures over shared-risk groups (a pod, a spine
-// plane, all links of one switch), gray failures (loss probability, added
-// latency, capacity derate — Link's non-binary sickness), metric
-// drift/oscillation, maintenance drains, and control-plane restarts
+// A scripted timeline of faults, spoken in fault *classes* rather than
+// single cable events: link flaps at a tunable frequency, correlated
+// failures over shared-risk groups (a pod, a spine plane, all links of one
+// switch), gray failures (loss probability, added latency, capacity
+// derate — Link's non-binary sickness), metric drift/oscillation,
+// maintenance drains, and control-plane restarts
 // (Device::restart_control_plane). Each builder call is one *wave*: the
 // engine emits a churn_wave trace record (aux = FaultClass) at the wave's
 // start, before its events, so the ConvergenceTracker can measure a
@@ -13,15 +13,14 @@
 //
 // Schedules are built entirely up front — scripted (builders / the
 // --churn-spec JSON schema) or seed-generative (generate) — and then armed
-// against either engine. Arming schedules plain events, so a schedule is
-// deterministic across --workers by the parallel engine's own contract.
+// on a ParallelSimulator. Arming schedules plain events, so a schedule is
+// deterministic across --workers by the engine's own contract.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "sim/parallel_simulator.h"
-#include "sim/simulator.h"
 
 namespace contra::sim {
 
@@ -72,7 +71,6 @@ class ChurnEngine {
 
   // ----- arming -------------------------------------------------------------
 
-  void arm(Simulator& sim) const;
   void arm(ParallelSimulator& psim) const;
 
   size_t num_events() const { return events_.size(); }

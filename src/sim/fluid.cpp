@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace contra::sim {
 
@@ -30,19 +31,10 @@ FluidEngine::FluidEngine(FluidConfig config) : config_(config) {
   if (config_.quantum_s <= 0.0) config_.quantum_s = 64e-6;
 }
 
-void FluidEngine::bind(Simulator& sim) {
-  sims_ = {&sim};
-  shard_of_ = nullptr;
-  serial_ = true;
-  serial_sim_ = &sim;
-}
-
 void FluidEngine::bind_shards(std::vector<Simulator*> sims,
                               std::function<uint32_t(topology::NodeId)> shard_of) {
   sims_ = std::move(sims);
   shard_of_ = std::move(shard_of);
-  serial_ = false;
-  serial_sim_ = nullptr;
 }
 
 void FluidEngine::ensure_link_tables() {
@@ -62,19 +54,17 @@ void FluidEngine::ensure_link_tables() {
   loaded_links_.clear();
   loaded_links_.reserve(n);
   wf_heap_.reserve(2 * n);
-  if (shard_of_) {
-    Simulator& s0 = *sims_[0];
-    const topology::Topology& topo = s0.topo();
-    for (topology::LinkId l = 0; l < topo.num_links(); ++l) {
-      link_owner_[l] = shard_of_(topo.link(l).from);
-    }
-    // Host links live with the shard owning the attach switch (the only
-    // shard whose replica ever transmits on them).
-    for (HostId h = 0; h < s0.num_hosts(); ++h) {
-      const uint32_t shard = shard_of_(s0.host_switch(h));
-      link_owner_[s0.host_uplink_id(h)] = shard;
-      link_owner_[s0.host_downlink_id(h)] = shard;
-    }
+  Simulator& s0 = *sims_[0];
+  const topology::Topology& topo = s0.topo();
+  for (topology::LinkId l = 0; l < topo.num_links(); ++l) {
+    link_owner_[l] = shard_of_(topo.link(l).from);
+  }
+  // Host links live with the shard owning the attach switch (the only shard
+  // whose replica ever transmits on them).
+  for (HostId h = 0; h < s0.num_hosts(); ++h) {
+    const uint32_t shard = shard_of_(s0.host_switch(h));
+    link_owner_[s0.host_uplink_id(h)] = shard;
+    link_owner_[s0.host_downlink_id(h)] = shard;
   }
 }
 
@@ -123,7 +113,6 @@ void FluidEngine::start_flow(TransportManager* owner, uint64_t flow_id, HostId s
   p.owner = owner;
   pending_.push_back(p);
   std::push_heap(pending_.begin(), pending_.end(), ByStart{});
-  if (serial_) arm_serial_wake();
 }
 
 Time FluidEngine::next_wake() const {
@@ -157,7 +146,6 @@ void FluidEngine::advance_to(Time t) {
     push_link_loads();
   }
   last_settle_ = t;
-  if (serial_) arm_serial_wake();
 }
 
 void FluidEngine::settle(Time now, bool& dirty) {
@@ -405,18 +393,6 @@ void FluidEngine::push_link_loads() {
     link_ref(l).set_fluid_load_bps(link_rate_[l] * wire_factor);
     loaded_links_.push_back(l);
   }
-}
-
-void FluidEngine::arm_serial_wake() {
-  const Time want = next_wake();
-  if (!(want < armed_wake_)) return;  // an early-enough wake is already armed
-  armed_wake_ = want;
-  const uint64_t gen = ++wake_generation_;
-  serial_sim_->events().schedule_at(want, [this, gen] {
-    if (gen != wake_generation_) return;  // superseded by an earlier wake
-    armed_wake_ = std::numeric_limits<double>::infinity();
-    advance_to(serial_sim_->now());
-  });
 }
 
 }  // namespace contra::sim

@@ -16,14 +16,13 @@
 // tick allocates nothing once warm (bench-gated by hybrid_fabric).
 //
 // Determinism: every decision is made at a quantum boundary from state that
-// is itself deterministic. On the sharded engine the tick runs on the main
-// thread while all shards are parked at exactly the tick time, so results
+// is itself deterministic. ParallelSimulator runs each tick on the main
+// thread while every shard is parked at exactly the tick time, so results
 // are byte-identical for any worker count at a fixed shard count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -62,13 +61,10 @@ class FluidEngine {
  public:
   explicit FluidEngine(FluidConfig config = {});
 
-  /// Serial engine: the engine self-schedules its ticks on sim.events().
-  void bind(Simulator& sim);
-
-  /// Sharded engine: route queries and link reads/writes go to the shard
-  /// owning each node / link transmit side. Ticks are driven externally by
-  /// ParallelSimulator (next_wake / advance_to) on the main thread while
-  /// every shard is parked at the tick time.
+  /// Binds the engine to the shard simulators: route queries and link
+  /// reads/writes go to the shard owning each node / link transmit side.
+  /// Ticks are driven by ParallelSimulator (next_wake / advance_to) on the
+  /// main thread while every shard is parked at the tick time.
   void bind_shards(std::vector<Simulator*> sims,
                    std::function<uint32_t(topology::NodeId)> shard_of);
 
@@ -81,9 +77,8 @@ class FluidEngine {
   void start_flow(TransportManager* owner, uint64_t flow_id, HostId src, HostId dst,
                   uint64_t bytes, Time start_time);
 
-  /// Earliest time the engine must run (+inf when idle). The sharded
-  /// engine caps its phase horizon here; the serial binding schedules its
-  /// own wake events at this time.
+  /// Earliest time the engine must run (+inf when idle). ParallelSimulator
+  /// splits its run windows here.
   Time next_wake() const;
 
   /// Runs the tick batch at exactly `t` (== next_wake()). Settles
@@ -132,7 +127,7 @@ class FluidEngine {
   };
 
   void ensure_link_tables();
-  Simulator& sim_for(topology::NodeId node) { return *sims_[shard_of_ ? shard_of_(node) : 0]; }
+  Simulator& sim_for(topology::NodeId node) { return *sims_[shard_of_(node)]; }
   /// Canonical replica of a link: the shard owning its transmit side (the
   /// only replica whose EWMA ever moves, and so the one probes read).
   Link& link_ref(topology::LinkId l) { return sims_[link_owner_[l]]->link(l); }
@@ -148,7 +143,6 @@ class FluidEngine {
   void rewalk_all(Time now);
   void recompute_rates(Time now);
   void push_link_loads();
-  void arm_serial_wake();
 
   uint32_t acquire_slot();
   void release_slot(uint32_t slot);
@@ -157,8 +151,7 @@ class FluidEngine {
   FluidStats stats_;
 
   std::vector<Simulator*> sims_;
-  std::function<uint32_t(topology::NodeId)> shard_of_;  ///< empty = serial
-  bool serial_ = false;
+  std::function<uint32_t(topology::NodeId)> shard_of_;
   uint32_t num_links_ = 0;  ///< topology links + host links
 
   // ----- flow SoA (slot-indexed, freelist-recycled) ------------------------
@@ -180,7 +173,7 @@ class FluidEngine {
   std::vector<uint32_t> active_;
 
   // ----- per-link scratch (sized to num_links_, reset via touched list) ----
-  std::vector<uint32_t> link_owner_;  ///< owning shard per link (all 0 serial)
+  std::vector<uint32_t> link_owner_;  ///< owning shard per link
   std::vector<double> link_rate_;     ///< committed fluid goodput per link
   std::vector<double> wf_cap_;        ///< water-fill residual capacity
   std::vector<uint32_t> wf_nflows_;   ///< water-fill unfrozen flow count
@@ -202,11 +195,6 @@ class FluidEngine {
   Time last_settle_ = 0.0;
   uint64_t last_link_generation_ = 0;
   uint64_t completion_digest_ = 14695981039346656037ull;
-
-  // Serial self-scheduling (stale wakes are skipped via the generation).
-  Simulator* serial_sim_ = nullptr;
-  uint64_t wake_generation_ = 0;
-  Time armed_wake_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace contra::sim

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <ostream>
 
@@ -10,22 +9,23 @@
 #include "obs/profile.h"
 #include "sim/fluid.h"
 #include "obs/telemetry.h"
-#include "topology/generators.h"
-#include "util/strings.h"
 
 namespace contra::sim {
 
 ParallelSimulator::ParallelSimulator(const topology::Topology& topo, SimConfig config)
     : topo_(&topo), config_(config) {
   const uint32_t want_workers = config.workers == 0 ? 1 : config.workers;
-  // Auto shard count: sized to the topology, capped by the parallelism we
-  // can actually use — the larger of the requested workers and the machine's
-  // cores (workers may exceed cores deliberately, e.g. determinism tests).
-  const uint32_t requested =
-      config.shards != 0
-          ? config.shards
-          : topology::default_num_shards(
-                topo, std::max(want_workers, std::thread::hardware_concurrency()));
+  // No shards and no workers asked for: one shard. Workers without a shard
+  // count: sized to the topology, capped by the parallelism we can actually
+  // use — the larger of the requested workers and the machine's cores
+  // (workers may exceed cores deliberately, e.g. determinism tests).
+  uint32_t requested = config.shards;
+  if (requested == 0) {
+    requested = config.workers == 0
+                    ? 1
+                    : topology::default_num_shards(
+                          topo, std::max(want_workers, std::thread::hardware_concurrency()));
+  }
   partition_ = topology::partition_topology(topo, requested);
   // Zero-delay cut links are fused away at partition time (a zero-width
   // channel admits no conservative lookahead at all).
@@ -39,7 +39,6 @@ ParallelSimulator::ParallelSimulator(const topology::Topology& topo, SimConfig c
     obs::Telemetry& tel = shards_[0]->sim.telemetry();
     tel.metrics().add(tel.core().par_shards_fused, partition_.fused_shards);
   }
-  next_boundary_ = epoch_width_s();  // +inf when nothing crosses the cut
 
   base_.resize(partition_.num_shards);
   avail_.resize(partition_.num_shards);
@@ -167,39 +166,25 @@ bool ParallelSimulator::plan_phase(Time end) {
   }
   if (!(min_base <= end)) return false;  // window complete
 
-  const bool grid_mode = config_.global_min_epochs && std::isfinite(partition_.min_cut_delay_s);
-  double grid_boundary = end;
-  bool grid_inclusive = true;
-  if (grid_mode) {
-    // Legacy schedule: everyone steps to the next global grid boundary
-    // (width = min cut-link delay), one barrier per boundary, and a final
-    // inclusive step to `end`.
-    if (next_boundary_ <= end) {
-      grid_boundary = next_boundary_;
-      grid_inclusive = false;
-      next_boundary_ += partition_.min_cut_delay_s;
-    }
-  } else {
-    // Per-channel lookahead: close base over the horizon matrix (min-plus /
-    // Bellman-Ford fixpoint, the classical LBTS computation). avail[s]
-    // lower-bounds the time of *any* event shard s can still execute,
-    // including events reaching it through relay chains — without the
-    // closure, a two-hop chain (C -> A -> B) can deliver into B earlier
-    // than B's direct-channel bounds admit, and the schedule is unsound.
-    avail_ = base_;
-    for (bool changed = true; changed;) {
-      changed = false;
-      for (uint32_t dst = 0; dst < n; ++dst) {
-        double best = avail_[dst];
-        for (uint32_t src = 0; src < n; ++src) {
-          if (src == dst) continue;
-          const double cand = avail_[src] + partition_.horizon_of(src, dst);
-          if (cand < best) best = cand;
-        }
-        if (best < avail_[dst]) {
-          avail_[dst] = best;
-          changed = true;
-        }
+  // Per-channel lookahead: close base over the horizon matrix (min-plus /
+  // Bellman-Ford fixpoint, the classical LBTS computation). avail[s]
+  // lower-bounds the time of *any* event shard s can still execute,
+  // including events reaching it through relay chains — without the
+  // closure, a two-hop chain (C -> A -> B) can deliver into B earlier than
+  // B's direct-channel bounds admit, and the schedule is unsound.
+  avail_ = base_;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (uint32_t dst = 0; dst < n; ++dst) {
+      double best = avail_[dst];
+      for (uint32_t src = 0; src < n; ++src) {
+        if (src == dst) continue;
+        const double cand = avail_[src] + partition_.horizon_of(src, dst);
+        if (cand < best) best = cand;
+      }
+      if (best < avail_[dst]) {
+        avail_[dst] = best;
+        changed = true;
       }
     }
   }
@@ -207,21 +192,17 @@ bool ParallelSimulator::plan_phase(Time end) {
   dispatch_.clear();
   for (uint32_t s = 0; s < n; ++s) {
     Shard& shard = *shards_[s];
-    double boundary = grid_boundary;
-    bool inclusive = grid_inclusive;
-    if (!grid_mode) {
-      // Safe horizon for s: the earliest instant any other shard could still
-      // deliver into it. Horizons are strictly positive (zero-delay cuts are
-      // fused), so the globally-earliest shard always gets a boundary above
-      // its own next event — every planned phase makes progress.
-      double t = kInf;
-      for (uint32_t src = 0; src < n; ++src) {
-        if (src == s) continue;
-        t = std::min(t, avail_[src] + partition_.horizon_of(src, s));
-      }
-      inclusive = !(t <= end);
-      boundary = inclusive ? end : t;
+    // Safe horizon for s: the earliest instant any other shard could still
+    // deliver into it. Horizons are strictly positive (zero-delay cuts are
+    // fused), so the globally-earliest shard always gets a boundary above
+    // its own next event — every planned phase makes progress.
+    double t = kInf;
+    for (uint32_t src = 0; src < n; ++src) {
+      if (src == s) continue;
+      t = std::min(t, avail_[src] + partition_.horizon_of(src, s));
     }
+    const bool inclusive = !(t <= end);
+    const double boundary = inclusive ? end : t;
     // An inclusive boundary may be revisited (run_until(end) twice, with new
     // work injected at exactly `end` in between) — matching the serial
     // engine's inclusive-end semantics. A strict boundary may not.
@@ -254,9 +235,6 @@ bool ParallelSimulator::plan_phase(Time end) {
   for (uint32_t s : dispatch_) {
     for (auto& src : shards_) src->outbox[s].stage();
   }
-  // Every planned round is a phase: in grid mode that is one per boundary
-  // even if nothing runs (the legacy engine barriered regardless — that cost
-  // is exactly what the A/B comparison measures).
   ++phases_;
   return true;
 }
@@ -295,22 +273,16 @@ void ParallelSimulator::run_until(Time end) {
 
 void ParallelSimulator::run_span(Time end) {
   if (partition_.num_shards == 1) {
-    // Exactly the serial engine: same queue, same insertion order — except
-    // that snapshot ticks split the window (processing no extra events, so
-    // the event schedule is untouched).
-    Shard& shard = *shards_[0];
-    while (snapshot_out_ != nullptr && snapshot_interval_s_ > 0 &&
-           snapshot_tick_ * snapshot_interval_s_ <= end) {
+    // The serial engine: the one queue runs straight to `end`. Snapshot
+    // ticks split the window but process no extra events, so the event
+    // schedule is untouched.
+    Simulator& sim = shards_[0]->sim;
+    while (snapshot_out_ != nullptr && snapshot_tick_ * snapshot_interval_s_ <= end) {
       const Time t = snapshot_tick_ * snapshot_interval_s_;
-      shard.target = t;
-      shard.inclusive = true;
-      run_phase_shard(0);
-      *snapshot_out_ << merged_metrics_json(t) << '\n';
-      ++snapshot_tick_;
+      sim.run_until(t);
+      emit_snapshots_through(t);
     }
-    shard.target = end;
-    shard.inclusive = true;
-    run_phase_shard(0);
+    sim.run_until(end);
     now_ = std::max(now_, end);
     return;
   }
@@ -386,9 +358,20 @@ void ParallelSimulator::start() {
   for (auto& shard : shards_) shard->sim.start();
 }
 
-void ParallelSimulator::enable_tracing() {
+void ParallelSimulator::enable_tracing(obs::TraceSink* sink) {
+  trace_sink_ = sink;
+  if (shards_.size() == 1) {
+    shards_[0]->sim.telemetry().set_sink(sink);
+    return;
+  }
   tracing_ = true;
   for (auto& shard : shards_) shard->sim.telemetry().set_sink(&shard->trace);
+}
+
+void ParallelSimulator::flush_trace() {
+  if (!tracing_) return;
+  for (const obs::TraceRecord& rec : merged_trace()) trace_sink_->write(rec);
+  for (auto& shard : shards_) shard->trace.clear();
 }
 
 void ParallelSimulator::fail_cable(topology::LinkId link) {
@@ -516,12 +499,9 @@ std::string ParallelSimulator::merged_metrics_json(double t) const {
 ParallelTransport::ParallelTransport(ParallelSimulator& psim, TransportConfig config)
     : psim_(&psim), config_(config) {
   // Hybrid mode builds ONE fluid engine spanning every shard (DESIGN.md
-  // §14): per-shard managers get hybrid=false configs (no per-shard engine)
-  // and route their bulk flows into the shared engine via use_fluid. The
-  // engine's ticks are driven by ParallelSimulator::run_until on the main
-  // thread, between phases.
-  TransportConfig shard_config = config;
-  shard_config.hybrid = false;
+  // §14); the per-shard managers route their bulk flows into it via
+  // use_fluid. The engine's ticks are driven by ParallelSimulator::run_until
+  // on the main thread, between run spans.
   if (config.hybrid) {
     FluidConfig fc;
     fc.quantum_s = config.fluid_quantum_s;
@@ -538,7 +518,7 @@ ParallelTransport::ParallelTransport(ParallelSimulator& psim, TransportConfig co
   }
   transports_.reserve(psim.num_shards());
   for (uint32_t s = 0; s < psim.num_shards(); ++s) {
-    auto transport = std::make_unique<TransportManager>(psim.shard_sim(s), shard_config);
+    auto transport = std::make_unique<TransportManager>(psim.shard_sim(s), config);
     transport->set_next_flow_id((static_cast<uint64_t>(s) << 48) + 1);
     if (fluid_ != nullptr) transport->use_fluid(fluid_.get(), config.hybrid_sample_every);
     transports_.push_back(std::move(transport));
@@ -563,9 +543,12 @@ void ParallelTransport::enable_flow_tracking(uint32_t path_sample_every) {
   }
 }
 
-obs::FlowTracker ParallelTransport::merged_flow_tracker() const {
-  obs::FlowTracker merged;
-  for (const auto& tracker : trackers_) merged.merge_from(*tracker);
+obs::FlowTracker ParallelTransport::merged_flow_tracker() {
+  obs::FlowTracker merged = std::move(*trackers_[0]);
+  for (size_t s = 1; s < trackers_.size(); ++s) {
+    merged.merge_from(*trackers_[s]);
+    *trackers_[s] = obs::FlowTracker{};
+  }
   return merged;
 }
 
@@ -583,8 +566,10 @@ uint64_t ParallelTransport::start_udp_flow(HostId src, HostId dst, double rate_b
   return for_host(src).start_udp_flow(src, dst, rate_bps, start_time, stop_time, packet_bytes);
 }
 
-std::vector<FlowRecord> ParallelTransport::completed_flows() const {
-  std::vector<FlowRecord> all;
+const std::vector<FlowRecord>& ParallelTransport::completed_flows() const {
+  if (transports_.size() == 1) return transports_[0]->completed_flows();
+  std::vector<FlowRecord>& all = merged_completed_;
+  all.clear();
   for (const auto& transport : transports_) {
     const auto& flows = transport->completed_flows();
     all.insert(all.end(), flows.begin(), flows.end());
@@ -617,36 +602,6 @@ uint64_t ParallelTransport::udp_bytes_received() const {
   uint64_t total = 0;
   for (const auto& transport : transports_) total += transport->udp_bytes_received();
   return total;
-}
-
-// ----- host placement --------------------------------------------------------
-
-std::vector<HostId> attach_hosts_to_fat_tree_edges(ParallelSimulator& sim, uint32_t per_switch) {
-  std::vector<HostId> hosts;
-  const topology::Topology& topo = sim.topo();
-  for (topology::NodeId n = 0; n < topo.num_nodes(); ++n) {
-    if (topology::fat_tree_layer(topo, n) != topology::FatTreeLayer::kEdge) continue;
-    for (uint32_t i = 0; i < per_switch; ++i) hosts.push_back(sim.add_host(n));
-  }
-  return hosts;
-}
-
-std::vector<HostId> attach_hosts_to_leaves(ParallelSimulator& sim, uint32_t per_switch) {
-  std::vector<HostId> hosts;
-  const topology::Topology& topo = sim.topo();
-  for (topology::NodeId n = 0; n < topo.num_nodes(); ++n) {
-    if (!util::starts_with(topo.name(n), "leaf")) continue;
-    for (uint32_t i = 0; i < per_switch; ++i) hosts.push_back(sim.add_host(n));
-  }
-  return hosts;
-}
-
-std::vector<HostId> attach_hosts(ParallelSimulator& sim,
-                                 const std::vector<topology::NodeId>& switches) {
-  std::vector<HostId> hosts;
-  hosts.reserve(switches.size());
-  for (topology::NodeId n : switches) hosts.push_back(sim.add_host(n));
-  return hosts;
 }
 
 }  // namespace contra::sim

@@ -23,20 +23,16 @@
 //   * Ties are processed in (time, shard, sequence) order: each queue breaks
 //     time ties by insertion sequence, and drains happen at deterministic
 //     phases in fixed source-shard order.
-//   * With 1 shard the engine degenerates to exactly the serial Simulator
-//     (same id sequences, same insertion order, no barriers) — bit-identical
-//     to Simulator::run_until.
+//   * One shard is the serial engine: run_until runs its queue straight to
+//     `end` (and to each metrics snapshot tick), with no phase plan, no
+//     epoch or barrier records and no par_epochs count.
 //   * With >1 shards, results are deterministic and workers-invariant but
-//     not bit-identical to the serial engine (or to a different shard count
-//     or epoch schedule): a cross-shard delivery enters the destination
-//     queue at a drain rather than at transmit time, so *simultaneous*
-//     events can interleave differently (and first-arrival-wins protocol
-//     ties, e.g. equal-rank probes, can resolve the other way). Same-time
-//     tie order is the only divergence.
-//
-// SimConfig::global_min_epochs selects the legacy PR-3 schedule (every
-// shard steps on a global grid of width = min cut-link delay) for the
-// epoch-width regression tests and the bench's barrier-count comparison.
+//     not bit-identical to one shard (or to a different shard count): a
+//     cross-shard delivery enters the destination queue at a drain rather
+//     than at transmit time, so *simultaneous* events can interleave
+//     differently (and first-arrival-wins protocol ties, e.g. equal-rank
+//     probes, can resolve the other way). Same-time tie order is the only
+//     divergence.
 #pragma once
 
 #include <atomic>
@@ -61,10 +57,12 @@ namespace contra::sim {
 
 class ParallelSimulator {
  public:
-  /// `config.shards` = 0 picks topology::default_num_shards sized to the
-  /// topology and to max(config.workers, hardware_concurrency) — pass an
-  /// explicit shard count when the schedule must reproduce across machines.
-  /// `config.workers` = 0 runs single-threaded (same schedule regardless).
+  /// `config.shards` and `config.workers` both 0 builds one shard. With
+  /// `config.workers` > 0, `config.shards` = 0 picks
+  /// topology::default_num_shards sized to the topology and to
+  /// max(config.workers, hardware_concurrency) — pass an explicit shard
+  /// count when the schedule must reproduce across machines. The worker
+  /// count never changes the schedule.
   ParallelSimulator(const topology::Topology& topo, SimConfig config);
   ~ParallelSimulator();
   ParallelSimulator(const ParallelSimulator&) = delete;
@@ -75,14 +73,13 @@ class ParallelSimulator {
   const topology::Partition& partition() const { return partition_; }
   uint32_t num_shards() const { return partition_.num_shards; }
   uint32_t num_workers() const { return workers_; }
-  /// Legacy global-min lookahead: the width every epoch had before the
-  /// per-channel scheduler (+inf when no link crosses the cut). Still the
-  /// epoch grid when config().global_min_epochs is set; otherwise a summary
-  /// lower bound on per-channel horizons.
+  /// Minimum cut-link delay (+inf when no link crosses the cut): a lower
+  /// bound on every per-channel horizon, and the width a global epoch grid
+  /// would step by.
   double epoch_width_s() const { return partition_.min_cut_delay_s; }
-  /// Synchronization phases completed — one fork-join barrier each. The
-  /// per-channel scheduler's whole point is keeping this small relative to
-  /// sim-time / epoch_width_s.
+  /// Synchronization phases completed — one fork-join barrier each; 0 with
+  /// one shard. The per-channel scheduler's whole point is keeping this
+  /// small relative to sim-time / epoch_width_s.
   uint64_t epochs_completed() const { return phases_; }
   /// Phases whose dispatch list was a single shard: run inline on the main
   /// thread, no worker wakeup — a "free" barrier.
@@ -110,23 +107,30 @@ class ParallelSimulator {
   /// Arms device timers on every shard.
   void start();
 
-  /// Attaches a per-shard in-memory trace buffer to every shard's telemetry
-  /// (merged_trace() reads them back). Call before start().
-  void enable_tracing();
+  /// Sends the control-plane trace to `sink`, which must outlive the run.
+  /// With one shard the records reach the sink as they are emitted. With
+  /// more, each shard buffers its own and flush_trace() writes them merged
+  /// in (t, shard, emission index) order. Call before start().
+  void enable_tracing(obs::TraceSink* sink);
+  /// Writes the shard trace buffers to the sink, merged, and empties them.
+  /// Nothing is buffered with one shard.
+  void flush_trace();
 
   /// Attaches a wall-clock engine profiler (obs::EngineProfiler built with
-  /// num_shards()+1 tracks: one per shard plus the scheduler track). Spans:
-  /// per-shard `mailbox_drain` / `phase_run`, scheduler-track `plan` /
-  /// `barrier`. Opt-in; one null-check per phase when absent. Call before
-  /// run_until; timestamps are relative to the call.
+  /// num_shards()+1 tracks: one per shard plus the scheduler track). Spans,
+  /// with more than one shard: per-shard `mailbox_drain` / `phase_run`,
+  /// scheduler-track `plan` / `barrier`. Opt-in; one null-check per phase
+  /// when absent. Call before run_until; timestamps are relative to the
+  /// call.
   void set_profiler(obs::EngineProfiler* profiler);
 
-  /// Periodic metrics snapshots under the phase scheduler: one merged
-  /// snapshot line is written per `interval_s` tick of simulation time, at
-  /// the first phase boundary where every shard has committed past the tick
-  /// (the engine's natural stop-the-world points — see OBSERVABILITY.md).
-  /// The emission schedule depends only on the deterministic phase plan, so
-  /// output is workers-invariant. nullptr disables.
+  /// Periodic metrics snapshots: one merged snapshot line is written per
+  /// `interval_s` tick of simulation time. One shard runs to each tick and
+  /// writes it there; more shards write it at the first phase boundary
+  /// where every shard has committed past the tick (the engine's natural
+  /// stop-the-world points — see OBSERVABILITY.md). The emission schedule
+  /// depends only on the deterministic phase plan, so output is
+  /// workers-invariant. nullptr disables.
   void set_metrics_snapshots(double interval_s, std::ostream* out);
 
   // ----- failure injection -------------------------------------------------
@@ -172,16 +176,14 @@ class ParallelSimulator {
   uint64_t events_processed() const;
   uint64_t events_clamped() const;
 
-  /// All shard trace buffers merged in (t, shard, emission index) order.
-  std::vector<obs::TraceRecord> merged_trace() const;
   /// Metrics snapshot with per-shard registries folded together (counters
   /// and histograms sum, gauges max).
   std::string merged_metrics_json(double t) const;
 
  private:
-  /// Computes per-shard phase targets (per-channel lookahead or the legacy
-  /// grid), fills dispatch_, and idle-skips shards with no work. Returns
-  /// false when nothing at or before `end` remains anywhere.
+  /// Computes per-shard phase targets from the per-channel lookahead, fills
+  /// dispatch_, and idle-skips shards with no work. Returns false when
+  /// nothing at or before `end` remains anywhere.
   bool plan_phase(Time end);
   /// One scheduler window: phase loop + quiescent tail, no fluid ticks
   /// (run_until splits windows at fluid wakes and calls this per span).
@@ -193,6 +195,8 @@ class ParallelSimulator {
   void execute_phase();
   void worker_loop(uint32_t worker);
   void wait_done();
+  /// All shard trace buffers merged in (t, shard, emission index) order.
+  std::vector<obs::TraceRecord> merged_trace() const;
 
   const topology::Topology* topo_;
   SimConfig config_;
@@ -201,10 +205,10 @@ class ParallelSimulator {
 
   Time now_ = 0.0;
   FluidEngine* fluid_ = nullptr;  ///< hybrid mode (set_fluid); not owned
-  Time next_boundary_ = 0.0;  ///< legacy grid mode: first unreached boundary
   uint64_t phases_ = 0;
   uint64_t solo_phases_ = 0;
-  bool tracing_ = false;
+  bool tracing_ = false;  ///< shards buffer trace records (more than one shard)
+  obs::TraceSink* trace_sink_ = nullptr;
 
   // Engine profiling (opt-in; see set_profiler).
   obs::EngineProfiler* profiler_ = nullptr;
@@ -252,9 +256,11 @@ class ParallelTransport {
   uint64_t start_udp_flow(HostId src, HostId dst, double rate_bps, Time start_time,
                           Time stop_time, uint32_t packet_bytes = 1500);
 
-  /// Completed flows merged over shards, ordered by (end time, flow id) —
-  /// deterministic, unlike raw per-shard completion interleaving.
-  std::vector<FlowRecord> completed_flows() const;
+  /// Completed flows. With one shard, its manager's list in completion
+  /// order, read in place. With more, every shard's list merged in (end
+  /// time, flow id) order — deterministic, unlike raw per-shard completion
+  /// interleaving — into a buffer that the next call overwrites.
+  const std::vector<FlowRecord>& completed_flows() const;
   std::vector<FlowRecord> all_flows() const;
   uint64_t total_reordered_packets() const;
   uint64_t udp_bytes_received() const;
@@ -271,7 +277,9 @@ class ParallelTransport {
   void enable_flow_tracking(uint32_t path_sample_every = 0);
   bool flow_tracking() const { return !trackers_.empty(); }
   obs::FlowTracker& shard_flow_tracker(uint32_t shard) { return *trackers_[shard]; }
-  obs::FlowTracker merged_flow_tracker() const;
+  /// The shard trackers folded into one. Moves them out rather than copying
+  /// them, so call it once, after the run.
+  obs::FlowTracker merged_flow_tracker();
 
   /// The shared hybrid fluid engine (DESIGN.md §14); nullptr unless
   /// config.hybrid. One engine spans every shard: it is bound to all shard
@@ -286,12 +294,7 @@ class ParallelTransport {
   std::unique_ptr<FluidEngine> fluid_;  ///< created when config.hybrid
   std::vector<std::unique_ptr<TransportManager>> transports_;
   std::vector<std::unique_ptr<obs::FlowTracker>> trackers_;
+  mutable std::vector<FlowRecord> merged_completed_;  ///< see completed_flows()
 };
-
-// Host-placement helpers mirroring sim/host.h for the parallel engine.
-std::vector<HostId> attach_hosts_to_fat_tree_edges(ParallelSimulator& sim, uint32_t per_switch);
-std::vector<HostId> attach_hosts_to_leaves(ParallelSimulator& sim, uint32_t per_switch);
-std::vector<HostId> attach_hosts(ParallelSimulator& sim,
-                                 const std::vector<topology::NodeId>& switches);
 
 }  // namespace contra::sim

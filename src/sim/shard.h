@@ -97,7 +97,7 @@ struct Shard {
   Simulator sim;
   std::vector<Mailbox> outbox;  ///< indexed by destination shard
 
-  obs::MemoryTraceSink trace;  ///< per-shard buffer; merged by (t, shard, index)
+  obs::MemoryTraceSink trace;  ///< more than one shard: merged by (t, shard, index)
   uint64_t events_at_epoch_start = 0;  ///< for per-epoch kEpoch accounting
 
   // ----- epoch-scheduler state (see ParallelSimulator::run_until) ----------

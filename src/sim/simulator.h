@@ -28,18 +28,14 @@ struct SimConfig {
   /// PathRecord (Packet::path). Compliance checks need it; everything else
   /// runs faster without the per-packet record, so it is opt-in.
   bool capture_traces = false;
-  /// Parallel engine (see ParallelSimulator / DESIGN.md §8). 0 = serial
-  /// engine, the default; the serial Simulator itself ignores both fields.
-  /// `workers` is the thread count; `shards` the topology partition count
-  /// (0 = auto from the topology). The execution schedule depends only on
-  /// the shard count, never on `workers`.
+  /// Engine shape (ParallelSimulator, DESIGN.md §8); the per-shard
+  /// Simulator itself ignores both fields. `shards` is the topology
+  /// partition count and `workers` the thread count. Both 0, the default,
+  /// runs one shard, which is the serial engine; `shards` = 0 with
+  /// `workers` > 0 sizes the partition to the topology and the machine. The
+  /// execution schedule depends only on the shard count, never on `workers`.
   uint32_t workers = 0;
   uint32_t shards = 0;
-  /// Parallel engine A/B knob: schedule epochs on the legacy global grid
-  /// (width = min cut-link delay everywhere) instead of the per-channel
-  /// lookahead scheduler. Strictly slower — kept for the epoch-width
-  /// regression tests and the bench's barrier-count comparison.
-  bool global_min_epochs = false;
 };
 
 class Simulator {

@@ -14,19 +14,7 @@ TransportManager::TransportManager(Simulator& sim, TransportConfig config)
   sim_.set_host_receiver([this](HostId host, Packet&& packet) {
     on_host_receive(host, std::move(packet));
   });
-  if (config_.hybrid) {
-    FluidConfig fc;
-    fc.quantum_s = config_.fluid_quantum_s;
-    fc.mss_bytes = config_.mss_bytes;
-    fc.header_bytes = config_.header_bytes;
-    owned_fluid_ = std::make_unique<FluidEngine>(fc);
-    owned_fluid_->bind(sim_);
-    fluid_ = owned_fluid_.get();
-    fluid_sample_every_ = config_.hybrid_sample_every;
-  }
 }
-
-TransportManager::~TransportManager() = default;
 
 void TransportManager::use_fluid(FluidEngine* engine, uint32_t sample_every) {
   fluid_ = engine;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -36,16 +35,16 @@ struct TransportConfig {
   double dctcp_gain = 1.0 / 16;    ///< the DCTCP g parameter
 
   /// Hybrid flow-level engine (DESIGN.md §14): bulk TCP flows advance as
-  /// fluid rates in a FluidEngine the manager creates and binds; probes,
-  /// flowlets, and a sampled flow subset stay packet-level. Serial engine
-  /// only — ParallelTransport builds one shared engine itself.
+  /// fluid rates in one FluidEngine that ParallelTransport builds and hands
+  /// to every shard's TransportManager; probes, flowlets, and a sampled flow
+  /// subset stay packet-level. Only ParallelTransport reads this field.
   bool hybrid = false;
   /// 1-in-n flow sampling: every n-th submitted TCP flow runs at packet
   /// level anyway (keeps flowlet/queue/transport paths exercised and gives
   /// parity tests a live reference). 0 = every flow fluid; 1 = every flow
   /// packet-level (hybrid off in all but name).
   uint32_t hybrid_sample_every = 64;
-  /// FluidConfig::quantum_s for the engine the manager creates.
+  /// FluidConfig::quantum_s for the engine ParallelTransport creates.
   double fluid_quantum_s = 64e-6;
 };
 
@@ -64,7 +63,6 @@ struct FlowRecord {
 class TransportManager {
  public:
   TransportManager(Simulator& sim, TransportConfig config = {});
-  ~TransportManager();  ///< out of line: owned_fluid_ is an incomplete type here
 
   /// Schedules a TCP-like flow; returns its flow id. Under hybrid mode the
   /// flow is handed to the fluid engine unless the 1-in-n sampler keeps it
@@ -118,11 +116,10 @@ class TransportManager {
 
   // ----- hybrid flow-level engine (DESIGN.md §14) ---------------------------
 
-  /// Routes bulk flows through an externally owned fluid engine (parallel
-  /// engine: one global engine shared by every shard's transport). Serial
-  /// callers normally just set TransportConfig::hybrid instead.
+  /// Routes bulk flows through a fluid engine owned elsewhere (by
+  /// ParallelTransport: one engine shared by every shard's transport).
   void use_fluid(FluidEngine* engine, uint32_t sample_every);
-  /// The engine in use (owned or external); nullptr in pure packet mode.
+  /// The engine in use; nullptr in pure packet mode.
   FluidEngine* fluid_engine() const { return fluid_; }
 
   /// FluidEngine completion callback: records the analytic FCT exactly as
@@ -203,8 +200,7 @@ class TransportManager {
 
   Simulator& sim_;
   TransportConfig config_;
-  std::unique_ptr<FluidEngine> owned_fluid_;  ///< created when config_.hybrid
-  FluidEngine* fluid_ = nullptr;              ///< owned or external (use_fluid)
+  FluidEngine* fluid_ = nullptr;  ///< set by use_fluid
   uint32_t fluid_sample_every_ = 0;
   uint64_t fluid_submissions_ = 0;  ///< 1-in-n sampling counter
   std::unordered_map<uint64_t, TcpSender> senders_;

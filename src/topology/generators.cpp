@@ -1,5 +1,6 @@
 #include "topology/generators.h"
 
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
@@ -8,6 +9,24 @@
 
 namespace contra::topology {
 
+namespace {
+
+/// `prefix` followed by `parts` joined with '_' ("a1_0"). Built by appending
+/// to one string: GCC 12 flags `"a" + std::to_string(p)` chains with a false
+/// -Wrestrict warning in optimized builds.
+std::string node_name(const char* prefix, std::initializer_list<uint32_t> parts) {
+  std::string name = prefix;
+  const char* sep = "";
+  for (const uint32_t part : parts) {
+    name += sep;
+    name += std::to_string(part);
+    sep = "_";
+  }
+  return name;
+}
+
+}  // namespace
+
 Topology fat_tree(uint32_t k, LinkParams params) {
   if (k < 2 || k % 2 != 0) throw std::invalid_argument("fat-tree arity must be even and >= 2");
   Topology topo;
@@ -15,17 +34,17 @@ Topology fat_tree(uint32_t k, LinkParams params) {
   const uint32_t num_core = half * half;
 
   std::vector<NodeId> core(num_core);
-  for (uint32_t i = 0; i < num_core; ++i) core[i] = topo.add_node("c" + std::to_string(i));
+  for (uint32_t i = 0; i < num_core; ++i) core[i] = topo.add_node(node_name("c", {i}));
 
   // Per pod: k/2 aggregation + k/2 edge switches.
   for (uint32_t p = 0; p < k; ++p) {
     std::vector<NodeId> agg(half);
     std::vector<NodeId> edge(half);
     for (uint32_t i = 0; i < half; ++i) {
-      agg[i] = topo.add_node("a" + std::to_string(p) + "_" + std::to_string(i));
+      agg[i] = topo.add_node(node_name("a", {p, i}));
     }
     for (uint32_t i = 0; i < half; ++i) {
-      edge[i] = topo.add_node("e" + std::to_string(p) + "_" + std::to_string(i));
+      edge[i] = topo.add_node(node_name("e", {p, i}));
     }
     // Full bipartite edge<->agg inside the pod.
     for (uint32_t e = 0; e < half; ++e) {
@@ -62,8 +81,8 @@ Topology leaf_spine(uint32_t leaves, uint32_t spines, LinkParams params) {
   Topology topo;
   std::vector<NodeId> leaf(leaves);
   std::vector<NodeId> spine(spines);
-  for (uint32_t i = 0; i < leaves; ++i) leaf[i] = topo.add_node("leaf" + std::to_string(i));
-  for (uint32_t i = 0; i < spines; ++i) spine[i] = topo.add_node("spine" + std::to_string(i));
+  for (uint32_t i = 0; i < leaves; ++i) leaf[i] = topo.add_node(node_name("leaf", {i}));
+  for (uint32_t i = 0; i < spines; ++i) spine[i] = topo.add_node(node_name("spine", {i}));
   for (uint32_t l = 0; l < leaves; ++l) {
     for (uint32_t s = 0; s < spines; ++s) {
       topo.add_link(leaf[l], spine[s], params.capacity_bps, params.delay_s);
@@ -76,7 +95,7 @@ Topology random_connected(uint32_t nodes, double avg_degree, uint64_t seed, Link
   if (nodes == 0) throw std::invalid_argument("random topology needs at least one node");
   util::Rng rng(seed);
   Topology topo;
-  for (uint32_t i = 0; i < nodes; ++i) topo.add_node("n" + std::to_string(i));
+  for (uint32_t i = 0; i < nodes; ++i) topo.add_node(node_name("n", {i}));
 
   // Random spanning tree: attach each node to a random earlier node.
   for (uint32_t i = 1; i < nodes; ++i) {
@@ -99,7 +118,7 @@ Topology random_connected(uint32_t nodes, double avg_degree, uint64_t seed, Link
 Topology ring(uint32_t n, LinkParams params) {
   if (n < 3) throw std::invalid_argument("ring needs at least 3 nodes");
   Topology topo;
-  for (uint32_t i = 0; i < n; ++i) topo.add_node("n" + std::to_string(i));
+  for (uint32_t i = 0; i < n; ++i) topo.add_node(node_name("n", {i}));
   for (uint32_t i = 0; i < n; ++i) {
     topo.add_link(i, (i + 1) % n, params.capacity_bps, params.delay_s);
   }
@@ -109,7 +128,7 @@ Topology ring(uint32_t n, LinkParams params) {
 Topology line(uint32_t n, LinkParams params) {
   if (n < 2) throw std::invalid_argument("line needs at least 2 nodes");
   Topology topo;
-  for (uint32_t i = 0; i < n; ++i) topo.add_node("n" + std::to_string(i));
+  for (uint32_t i = 0; i < n; ++i) topo.add_node(node_name("n", {i}));
   for (uint32_t i = 0; i + 1 < n; ++i) {
     topo.add_link(i, i + 1, params.capacity_bps, params.delay_s);
   }
@@ -122,7 +141,7 @@ Topology grid(uint32_t rows, uint32_t cols, LinkParams params) {
   auto id = [&](uint32_t r, uint32_t c) { return r * cols + c; };
   for (uint32_t r = 0; r < rows; ++r) {
     for (uint32_t c = 0; c < cols; ++c) {
-      topo.add_node("g" + std::to_string(r) + "_" + std::to_string(c));
+      topo.add_node(node_name("g", {r, c}));
     }
   }
   for (uint32_t r = 0; r < rows; ++r) {

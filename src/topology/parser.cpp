@@ -125,7 +125,8 @@ struct XmlElement {
 
 /// Next `<name ...>...</name>` or `<name .../>` element at or after `from`.
 bool next_element(std::string_view text, std::string_view name, size_t from, XmlElement* out) {
-  const std::string open = "<" + std::string(name);
+  std::string open = "<";  // appended: `"<" + ...` trips GCC 12's false -Wrestrict
+  open += name;
   size_t pos = from;
   while ((pos = text.find(open, pos)) != std::string_view::npos) {
     const char after = pos + open.size() < text.size() ? text[pos + open.size()] : '\0';

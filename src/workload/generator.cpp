@@ -86,18 +86,6 @@ bool FlowStream::next(GeneratedFlow* out) {
   return true;
 }
 
-void submit(sim::TransportManager& transport, const std::vector<GeneratedFlow>& flows) {
-  for (const GeneratedFlow& flow : flows) {
-    transport.start_flow(flow.src, flow.dst, flow.bytes, flow.start);
-  }
-}
-
-void submit(sim::ParallelTransport& transport, const std::vector<GeneratedFlow>& flows) {
-  for (const GeneratedFlow& flow : flows) {
-    transport.start_flow(flow.src, flow.dst, flow.bytes, flow.start);
-  }
-}
-
 uint64_t total_bytes(const std::vector<GeneratedFlow>& flows) {
   uint64_t total = 0;
   for (const GeneratedFlow& flow : flows) total += flow.bytes;

@@ -11,10 +11,6 @@
 #include "sim/transport.h"
 #include "workload/distributions.h"
 
-namespace contra::sim {
-class ParallelTransport;
-}
-
 namespace contra::workload {
 
 struct GeneratedFlow {
@@ -109,12 +105,16 @@ uint64_t pump_stream(Transport& transport, FlowStream& stream, sim::Time end, si
   return stream.emitted();
 }
 
-/// Registers every generated flow with the transport.
-void submit(sim::TransportManager& transport, const std::vector<GeneratedFlow>& flows);
-/// Parallel-engine variant: each flow is registered on the shard that owns
-/// its source host (flow-id assignment stays deterministic — it depends only
-/// on the generated order, never on worker scheduling).
-void submit(sim::ParallelTransport& transport, const std::vector<GeneratedFlow>& flows);
+/// Registers every generated flow with the transport: a TransportManager,
+/// or a ParallelTransport, which places each flow on the shard owning its
+/// source host (flow-id assignment depends only on the generated order,
+/// never on worker scheduling).
+template <typename Transport>
+void submit(Transport& transport, const std::vector<GeneratedFlow>& flows) {
+  for (const GeneratedFlow& flow : flows) {
+    transport.start_flow(flow.src, flow.dst, flow.bytes, flow.start);
+  }
+}
 
 /// Total offered bytes (for load sanity checks).
 uint64_t total_bytes(const std::vector<GeneratedFlow>& flows);

@@ -9,7 +9,7 @@
 //   * restart_control_plane under triggered updates withdraws the pre-restart
 //     advert ledger, so neighbours converge back to periodic-mode parity
 //     instead of routing on ghosts until metric expiry;
-//   * duplicate / overlapping FailureSchedule events are idempotent, and a
+//   * duplicate / overlapping scheduled cable events are idempotent, and a
 //     full mixed-class churn schedule is byte-identical across --workers at
 //     a fixed shard count.
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@
 #include "oracle/quiesce.h"
 #include "sim/churn_engine.h"
 #include "sim/event_queue.h"
-#include "sim/failure_schedule.h"
 #include "sim/link.h"
 #include "sim/parallel_simulator.h"
 #include "sim/simulator.h"
@@ -323,12 +322,14 @@ TEST(ChurnEngine, JsonSpecParsesAndRejectsMalformedInput) {
 
 // ---- restart under triggered updates (pinned bugfix) -----------------------
 
+// One shard; `sim` is its engine, driven directly where a test steps it.
 struct TriggeredWorld {
   TriggeredWorld(Topology topology, bool triggered, uint32_t keepalive_rounds = 8)
       : topo(std::move(topology)),
         compiled(compiler::compile("minimize((path.len, path.util))", topo)),
         evaluator(compiled.graph, compiled.decomposition),
-        sim(topo, SimConfig{}) {
+        psim(topo, SimConfig{}),
+        sim(psim.shard_sim(0)) {
     dataplane::ContraSwitchOptions options;
     options.probe_period_s = kPeriod;
     options.triggered_updates = triggered;
@@ -351,7 +352,8 @@ struct TriggeredWorld {
   Topology topo;
   compiler::CompileResult compiled;
   pg::PolicyEvaluator evaluator;
-  Simulator sim;
+  ParallelSimulator psim;
+  Simulator& sim;
   std::vector<dataplane::ContraSwitch*> switches;
 };
 
@@ -426,8 +428,9 @@ ChurnRun run_parallel_churn(const Topology& topo, const compiler::CompileResult&
   SimConfig config;
   config.shards = shards;
   config.workers = workers;
+  obs::MemoryTraceSink sink;
   ParallelSimulator psim(topo, config);
-  psim.enable_tracing();
+  psim.enable_tracing(&sink);
   dataplane::ContraSwitchOptions options;
   options.probe_period_s = kPeriod;
   psim.for_each_shard([&](Simulator& shard_sim) {
@@ -446,11 +449,12 @@ ChurnRun run_parallel_churn(const Topology& topo, const compiler::CompileResult&
   psim.schedule_cable_event(2.6e-3, dup, false);
   psim.start();
   psim.run_until(12e-3);
+  psim.flush_trace();
 
   ChurnRun out;
   char line[obs::kMaxLineBytes];
   obs::ConvergenceTracker tracker;
-  for (const obs::TraceRecord& r : psim.merged_trace()) {
+  for (const obs::TraceRecord& r : sink.records()) {
     tracker.observe(r);
     const size_t len = obs::format_jsonl(r, line);
     out.trace.append(line, len);
@@ -520,10 +524,9 @@ TEST(ChurnEngine, MixedChurnIsWorkerInvariantAndIdempotent) {
   }
 }
 
-// Serial-engine acceptance over the same mixed schedule: armed on a plain
-// Simulator, the schedule ends clean, the fabric reconverges to the
-// all-links-up oracle fixed point, and the per-class reconvergence
-// distribution covers every injected class.
+// One-shard acceptance over the same mixed schedule: the schedule ends
+// clean, the fabric reconverges to the all-links-up oracle fixed point, and
+// the per-class reconvergence distribution covers every injected class.
 TEST(ChurnEngine, SerialMixedChurnQuiescesToOracleFixedPoint) {
   TriggeredWorld world(fabric(), /*triggered=*/false);
   GrayParams gray;
@@ -541,10 +544,10 @@ TEST(ChurnEngine, SerialMixedChurnQuiescesToOracleFixedPoint) {
   ASSERT_TRUE(churn.ends_clean());
 
   obs::ConvergenceTracker tracker;
-  world.sim.telemetry().set_sink(&tracker);
-  churn.arm(world.sim);
-  world.sim.start();
-  world.sim.run_until(churn.last_event_time() + 6e-3);
+  world.psim.enable_tracing(&tracker);
+  churn.arm(world.psim);
+  world.psim.start();
+  world.psim.run_until(churn.last_event_time() + 6e-3);
 
   oracle::RouteOracle oracle(world.compiled.graph, world.evaluator,
                              oracle::LinkState::all_up(world.topo));

@@ -9,6 +9,7 @@
 //     ranks destinations identically under a util-blind policy);
 //   * hybrid runs are deterministic, and on the sharded engine the fluid
 //     completion digest is invariant to the worker count;
+//   * a streamed hybrid run through scenario::run keeps its pinned answer;
 //   * util-blind policies carry util = 0 in probes, so fluid/packet load can
 //     never excite triggered-update storms (the k=16 bench regression);
 //   * FlowStream is a deterministic lazy generator;
@@ -17,12 +18,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "compiler/compiler.h"
 #include "dataplane/contra_switch.h"
 #include "obs/convergence.h"
+#include "scenario/scenario.h"
 #include "sim/fluid.h"
 #include "sim/host.h"
 #include "sim/parallel_simulator.h"
@@ -55,11 +59,12 @@ struct Fixture {
         evaluator(std::make_unique<pg::PolicyEvaluator>(compiled.graph, compiled.decomposition)) {}
 };
 
+// One shard: the engine every scenario runs on by default.
 struct HybridRun {
-  Simulator sim;
+  sim::ParallelSimulator sim;
   std::vector<ContraSwitch*> switches;
   std::vector<HostId> senders, receivers;
-  sim::TransportManager transport;  // last: its init runs install() first
+  sim::ParallelTransport transport;  // last: its init runs install() first
 
   HybridRun(const Fixture& fx, TransportConfig tc)
       : sim(fx.topo,
@@ -71,14 +76,16 @@ struct HybridRun {
         switches(),
         transport((install(fx, sim, switches, senders, receivers), sim), tc) {}
 
-  static void install(const Fixture& fx, Simulator& sim, std::vector<ContraSwitch*>& switches,
-                      std::vector<HostId>& senders, std::vector<HostId>& receivers) {
+  static void install(const Fixture& fx, sim::ParallelSimulator& sim,
+                      std::vector<ContraSwitch*>& switches, std::vector<HostId>& senders,
+                      std::vector<HostId>& receivers) {
     for (HostId h : sim::attach_hosts_to_fat_tree_edges(sim, 2)) {
       (h % 2 ? receivers : senders).push_back(h);
     }
     dataplane::ContraSwitchOptions options;
     options.probe_period_s = 256e-6;
-    switches = dataplane::install_contra_network(sim, fx.compiled, *fx.evaluator, options);
+    switches =
+        dataplane::install_contra_network(sim.shard_sim(0), fx.compiled, *fx.evaluator, options);
   }
 };
 
@@ -270,7 +277,7 @@ TEST(Hybrid, UtilBlindPolicyStaysTriggerQuiet) {
   Fixture fx;
   SimConfig config;
   config.host_link_bps = kRate;
-  Simulator sim(fx.topo, config);
+  sim::ParallelSimulator sim(fx.topo, config);
   std::vector<HostId> senders, receivers;
   for (HostId h : sim::attach_hosts_to_fat_tree_edges(sim, 2)) {
     (h % 2 ? receivers : senders).push_back(h);
@@ -283,12 +290,13 @@ TEST(Hybrid, UtilBlindPolicyStaysTriggerQuiet) {
   // fabric and any triggered update afterwards can only come from local
   // change detection — which traffic must not excite under this policy.
   options.keepalive_rounds = 4096;
-  const auto switches = dataplane::install_contra_network(sim, fx.compiled, *fx.evaluator, options);
+  const auto switches =
+      dataplane::install_contra_network(sim.shard_sim(0), fx.compiled, *fx.evaluator, options);
 
   TransportConfig tc;
   tc.hybrid = true;
   tc.hybrid_sample_every = 4;
-  sim::TransportManager transport(sim, tc);
+  sim::ParallelTransport transport(sim, tc);
   workload::WorkloadConfig wl;
   wl.load = 0.6;
   wl.sender_capacity_bps = kRate;
@@ -362,6 +370,46 @@ TEST(HybridDeterminism, WorkerInvariantCompletionDigest) {
       EXPECT_EQ(completed, base_completed) << "workers " << workers;
     }
   }
+}
+
+// ---- pinned answer through the scenario runner -----------------------------
+
+// A streamed hybrid run on fat-tree k=8 under minimize(path.len) with
+// triggered updates and 1 flow in 8 kept packet-level, on the runner's
+// default engine. The literals are the answer the serial engine computed
+// when fluid ticks were events in its own queue; one shard runs them
+// between run spans instead and must compute the same thing.
+TEST(Hybrid, StreamedScenarioAnswerIsPinned) {
+  scenario::Scenario sc;
+  sc.topo = topology::fat_tree(8, topology::LinkParams{10e9, 1e-6});
+  sc.policy = "minimize(path.len)";
+  sc.contra.probe_period_s = 256e-6;
+  sc.contra.triggered_updates = true;
+  sc.transport.hybrid = true;
+  sc.transport.hybrid_sample_every = 8;
+  sc.stream = true;
+  sc.workload.load = 0.5;
+  sc.workload.sender_capacity_bps = 2.5e9;
+  sc.workload.start = 20 * 256e-6;
+  sc.workload.duration = 20e-3;
+  sc.workload.seed = 7;
+  sc.workload.size_scale = 0.05;
+  sc.drain_s = 20e-3;
+  sc.sim.util_tau_s = 2 * 256e-6;
+  std::FILE* log = std::tmpfile();
+  ASSERT_NE(log, nullptr);
+  sc.out.log = log;
+  const scenario::Result result = scenario::run(sc);
+  std::rewind(log);
+  std::string report;
+  char buf[4096];
+  for (size_t n; (n = std::fread(buf, 1, sizeof buf, log)) > 0;) report.append(buf, n);
+  std::fclose(log);
+
+  EXPECT_EQ(result.fct.to_string(),
+            "n=1722 (+0 incomplete) mean=0.096ms p50=0.021ms p95=0.449ms p99=1.005ms");
+  EXPECT_NE(report.find("fluid   : 1506 flows (1506 completed)"), std::string::npos) << report;
+  EXPECT_NE(report.find("digest dc73402b4b539f15\n"), std::string::npos) << report;
 }
 
 // ---- FlowStream ------------------------------------------------------------

@@ -62,7 +62,7 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
 TEST(MetricsRegistry, SlotExhaustionThrowsLoudly) {
   obs::MetricsRegistry reg;
   for (uint32_t i = 0; i < obs::MetricsRegistry::kMaxSlots; ++i) {
-    reg.counter("c" + std::to_string(i));
+    reg.counter(std::string("c").append(std::to_string(i)));
   }
   EXPECT_EQ(reg.slots_used(), obs::MetricsRegistry::kMaxSlots);
   EXPECT_THROW(reg.counter("one_too_many"), std::length_error);

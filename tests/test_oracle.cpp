@@ -43,28 +43,15 @@ QuiesceOptions quiesce_options(const dataplane::ContraSwitchOptions& options) {
   return q;
 }
 
-/// Runs `policy` over `topo` to quiescence (serial when workers == 0, the
-/// sharded engine otherwise) and checks every oracle invariant.
+/// Runs `policy` over `topo` to quiescence (one shard when workers == 0,
+/// the sharded engine otherwise) and checks every oracle invariant.
 CheckReport run_and_check(Topology topo, const lang::Policy& policy, int workers = 0) {
   const compiler::CompileResult compiled = compiler::compile(policy, topo);
   const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
   const dataplane::ContraSwitchOptions options = idle_exact_options(compiled);
   const QuiesceOptions qopts = quiesce_options(options);
 
-  QuiesceResult q;
-  std::vector<const dataplane::ContraSwitch*> view;
   sim::SimConfig cfg;
-  if (workers == 0) {
-    sim::Simulator sim(topo, cfg);
-    auto switches = dataplane::install_contra_network(sim, compiled, evaluator, options);
-    sim.start();
-    q = run_to_quiescence(sim, switches, qopts);
-    view.assign(switches.begin(), switches.end());
-    EXPECT_TRUE(q.quiesced);
-    RouteOracle oracle(compiled.graph, evaluator);
-    EXPECT_TRUE(oracle.converged());
-    return check_invariants(oracle, view, q.at, options_for(compiled.isotonicity));
-  }
   cfg.workers = workers;
   sim::ParallelSimulator psim(topo, cfg);
   std::vector<dataplane::ContraSwitch*> switches;
@@ -73,8 +60,8 @@ CheckReport run_and_check(Topology topo, const lang::Policy& policy, int workers
     switches.insert(switches.end(), owned.begin(), owned.end());
   });
   psim.start();
-  q = run_to_quiescence(psim, switches, qopts);
-  view.assign(switches.begin(), switches.end());
+  const QuiesceResult q = run_to_quiescence(psim, switches, qopts);
+  const std::vector<const dataplane::ContraSwitch*> view(switches.begin(), switches.end());
   EXPECT_TRUE(q.quiesced);
   RouteOracle oracle(compiled.graph, evaluator);
   EXPECT_TRUE(oracle.converged());
@@ -88,7 +75,7 @@ CheckReport run_and_check(Topology topo, const lang::Policy& policy, int workers
     EXPECT_GT(report_.entries_checked, 0u);                                    \
   } while (0)
 
-// ---- Fig. 2 policy catalog, serial ------------------------------------------
+// ---- Fig. 2 policy catalog, one shard ---------------------------------------
 
 TEST(OracleCatalog, TopologyAgnosticPoliciesOnFatTree) {
   const Topology topo = topology::fat_tree(4);

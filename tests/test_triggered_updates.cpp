@@ -12,8 +12,8 @@
 #include "oracle/checker.h"
 #include "oracle/oracle.h"
 #include "oracle/quiesce.h"
-#include "sim/failure_schedule.h"
 #include "sim/host.h"
+#include "sim/parallel_simulator.h"
 #include "sim/simulator.h"
 #include "sim/transport.h"
 #include "topology/generators.h"
@@ -26,12 +26,14 @@ using topology::Topology;
 
 constexpr double kPeriod = 64e-6;
 
+// One shard; `sim` is its engine, driven directly where a test steps it.
 struct TriggeredWorld {
   TriggeredWorld(Topology topology, bool triggered, uint32_t keepalive_rounds = 32)
       : topo(std::move(topology)),
         compiled(compiler::compile("minimize((path.len, path.util))", topo)),
         evaluator(compiled.graph, compiled.decomposition),
-        sim(topo, sim::SimConfig{}) {
+        psim(topo, sim::SimConfig{}),
+        sim(psim.shard_sim(0)) {
     ContraSwitchOptions options;
     options.probe_period_s = kPeriod;
     options.triggered_updates = triggered;
@@ -71,7 +73,8 @@ struct TriggeredWorld {
   Topology topo;
   compiler::CompileResult compiled;
   pg::PolicyEvaluator evaluator;
-  sim::Simulator sim;
+  sim::ParallelSimulator psim;
+  sim::Simulator& sim;
   std::vector<ContraSwitch*> switches;
 };
 
@@ -114,19 +117,17 @@ TEST(TriggeredUpdates, HoldDownDampsFlappingLink) {
   TriggeredWorld trig(test_fabric(), true, /*keepalive_rounds=*/8);
   const topology::LinkId victim =
       trig.topo.link_between(trig.topo.find("a0_0"), trig.topo.find("c0"));
-  sim::FailureSchedule schedule;
   // 12 flaps, half a hold-down window apart (hold-down = 2 periods).
   double t = 80 * kPeriod;
   for (int i = 0; i < 12; ++i) {
-    schedule.fail_at(t, victim);
-    schedule.restore_at(t + 0.5 * kPeriod, victim);
+    trig.psim.schedule_cable_event(t, victim, /*down=*/true);
+    trig.psim.schedule_cable_event(t + 0.5 * kPeriod, victim, /*down=*/false);
     t += kPeriod;
   }
-  schedule.arm(trig.sim);
-  trig.sim.start();
-  trig.sim.run_until(80 * kPeriod);
+  trig.psim.start();
+  trig.psim.run_until(80 * kPeriod);
   const uint64_t triggered_before = trig.stat_sum(&ContraSwitchStats::probes_triggered);
-  trig.sim.run_until(t + 4 * kPeriod);  // flap window + trailing-edge flushes
+  trig.psim.run_until(t + 4 * kPeriod);  // flap window + trailing-edge flushes
   const uint64_t triggered_during =
       trig.stat_sum(&ContraSwitchStats::probes_triggered) - triggered_before;
   EXPECT_GT(trig.stat_sum(&ContraSwitchStats::probes_holddown_deferred), 0u)
@@ -138,7 +139,7 @@ TEST(TriggeredUpdates, HoldDownDampsFlappingLink) {
   EXPECT_LT(triggered_during, full_wave)
       << "flap storm triggered more copies than the whole periodic history";
 
-  trig.sim.run_until(t + 60 * kPeriod);  // settle: several keepalive cycles
+  trig.psim.run_until(t + 60 * kPeriod);  // settle: several keepalive cycles
   const oracle::CheckReport report =
       trig.check_against_oracle(oracle::LinkState::all_up(trig.topo));
   EXPECT_TRUE(report.ok()) << report.to_string(trig.topo);
@@ -190,12 +191,10 @@ TEST(TriggeredUpdates, RecoveryResyncRestoresFixedPoint) {
   auto run_mode = [&](TriggeredWorld& world) {
     const topology::LinkId victim =
         world.topo.link_between(world.topo.find("a0_0"), world.topo.find("c0"));
-    sim::FailureSchedule schedule;
-    schedule.fail_at(80 * kPeriod, victim);
-    schedule.restore_at(140 * kPeriod, victim);
-    schedule.arm(world.sim);
-    world.sim.start();
-    world.sim.run_until(400 * kPeriod);
+    world.psim.schedule_cable_event(80 * kPeriod, victim, /*down=*/true);
+    world.psim.schedule_cable_event(140 * kPeriod, victim, /*down=*/false);
+    world.psim.start();
+    world.psim.run_until(400 * kPeriod);
   };
   run_mode(periodic);
   run_mode(trig);

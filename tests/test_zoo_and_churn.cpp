@@ -1,13 +1,13 @@
-// Topology-zoo catalog tests, failure scheduling, and churn properties: the
-// protocol must survive scripted link flapping and reconverge to full
-// reachability afterwards, on real WAN shapes.
+// Topology-zoo catalog tests and churn properties: the protocol must survive
+// scripted link flapping and reconverge to full reachability afterwards, on
+// real WAN shapes.
 #include <gtest/gtest.h>
 
 #include "compiler/compiler.h"
 #include "dataplane/contra_switch.h"
 #include "lang/policies.h"
-#include "sim/failure_schedule.h"
-#include "sim/transport.h"
+#include "sim/churn_engine.h"
+#include "sim/parallel_simulator.h"
 #include "topology/zoo.h"
 #include "util/rng.h"
 
@@ -51,32 +51,6 @@ TEST(Zoo, AllCompileUnderCatalogPolicies) {
   }
 }
 
-TEST(FailureSchedule, EventsFire) {
-  const Topology topo = topology::cesnet(1e9, 0.001);
-  sim::Simulator sim(topo, sim::SimConfig{});
-  const topology::LinkId cable = topo.link_between(topo.find("Praha"), topo.find("Brno"));
-  sim::FailureSchedule schedule;
-  schedule.fail_at(1e-3, cable).restore_at(2e-3, cable);
-  EXPECT_EQ(schedule.size(), 2u);
-  schedule.arm(sim);
-  sim.run_until(1.5e-3);
-  EXPECT_TRUE(sim.link(cable).down());
-  sim.run_until(2.5e-3);
-  EXPECT_FALSE(sim.link(cable).down());
-}
-
-TEST(FailureSchedule, FlapEndsRestored) {
-  const Topology topo = topology::cesnet(1e9, 0.001);
-  sim::Simulator sim(topo, sim::SimConfig{});
-  const topology::LinkId cable = topo.link_between(topo.find("Brno"), topo.find("Ostrava"));
-  sim::FailureSchedule schedule;
-  schedule.flap(cable, 1e-3, 0.5e-3, 3);
-  EXPECT_EQ(schedule.size(), 6u);
-  schedule.arm(sim);
-  sim.run_until(10e-3);
-  EXPECT_FALSE(sim.link(cable).down());
-}
-
 TEST(Churn, ReconvergesAfterRandomFlapping) {
   // Flap three random cables on GEANT while probes run; after the churn
   // stops, every pair must be routable again and ranks finite.
@@ -85,19 +59,20 @@ TEST(Churn, ReconvergesAfterRandomFlapping) {
       compiler::compile(lang::policies::min_util(), topo);
   const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
 
-  sim::Simulator sim(topo, sim::SimConfig{});
+  sim::ParallelSimulator sim(topo, sim::SimConfig{});
   dataplane::ContraSwitchOptions options;
   options.probe_period_s = 200e-6;
-  auto switches = dataplane::install_contra_network(sim, compiled, evaluator, options);
+  auto switches =
+      dataplane::install_contra_network(sim.shard_sim(0), compiled, evaluator, options);
 
   util::Rng rng(99);
-  sim::FailureSchedule schedule;
+  sim::ChurnEngine churn(topo);
   for (int i = 0; i < 3; ++i) {
     const topology::LinkId cable = static_cast<topology::LinkId>(
         rng.uniform_int(0, topo.num_links() - 1));
-    schedule.flap(cable, 2e-3 + i * 1e-3, 0.8e-3, 2);
+    churn.flap(cable, 2e-3 + i * 1e-3, 0.8e-3, 2);
   }
-  schedule.arm(sim);
+  churn.arm(sim);
 
   sim.start();
   sim.run_until(30e-3);  // churn long over; many probe rounds since
@@ -122,20 +97,20 @@ TEST(Churn, FlowsSurviveFlappingPath) {
 
   sim::SimConfig config;
   config.host_link_bps = 1e9;
-  sim::Simulator sim(topo, config);
+  sim::ParallelSimulator sim(topo, config);
   dataplane::ContraSwitchOptions options;
   options.probe_period_s = 100e-6;
-  dataplane::install_contra_network(sim, compiled, evaluator, options);
-  sim::TransportManager transport(sim);
+  dataplane::install_contra_network(sim.shard_sim(0), compiled, evaluator, options);
+  sim::ParallelTransport transport(sim);
 
   const sim::HostId a = sim.add_host(topo.find("Plzen"));
   const sim::HostId b = sim.add_host(topo.find("Ostrava"));
 
   // Flap Praha-Brno (on the likely shortest path Plzen-Praha-Brno-Ostrava);
   // the Praha-HradecKralove-Olomouc-Ostrava detour stays alive.
-  sim::FailureSchedule schedule;
-  schedule.flap(topo.link_between(topo.find("Praha"), topo.find("Brno")), 5e-3, 3e-3, 4);
-  schedule.arm(sim);
+  sim::ChurnEngine churn(topo);
+  churn.flap(topo.link_between(topo.find("Praha"), topo.find("Brno")), 5e-3, 3e-3, 4);
+  churn.arm(sim);
 
   sim.start();
   sim.run_until(2e-3);

@@ -4,8 +4,8 @@
 // a random topology (topology/generators plus degenerate shapes), a random
 // policy drawn from the language grammar (resampled until it passes the
 // monotonicity gate), and an optional failure/recovery schedule. The case
-// is compiled, simulated to quiescence (serially, and periodically under
-// the parallel engine with --workers), and the converged FwdT/BestT state
+// is compiled, simulated to quiescence (on one shard, and periodically on
+// the sharded engine with --workers), and the converged FwdT/BestT state
 // is checked against the centralized RouteOracle (src/oracle). Tag
 // minimization is cross-checked against the un-minimized product graph on
 // a subsample of iterations.
@@ -55,7 +55,6 @@
 #include "oracle/oracle.h"
 #include "oracle/quiesce.h"
 #include "sim/churn_engine.h"
-#include "sim/failure_schedule.h"
 #include "sim/parallel_simulator.h"
 #include "sim/simulator.h"
 #include "cli_common.h"
@@ -87,7 +86,7 @@ struct FuzzCase {
   topology::Topology topo;
   std::string policy_text;
   std::vector<FailEvent> events;
-  uint32_t workers = 0;  ///< 0 = serial engine
+  uint32_t workers = 0;  ///< 0 = one shard, the serial engine
   /// Non-zero arms a ChurnEngine::generate fault schedule (flaps, SRGs, gray
   /// failures, drift, drains, restarts) derived from this seed. The schedule
   /// always ends clean, so the all-links-up quiescence oracle stays sound.
@@ -396,72 +395,36 @@ CaseResult run_case(const FuzzCase& c, bool verbose) {
   oracle::QuiesceResult q;
   std::vector<const dataplane::ContraSwitch*> view;
   sim::SimConfig cfg;
-  if (c.workers == 0) {
-    sim::Simulator sim(c.topo, cfg);
-    auto switches = dataplane::install_contra_network(sim, compiled, evaluator, options);
-    sim::FailureSchedule schedule;
-    for (const FailEvent& e : c.events) {
-      const topology::LinkId l = resolve(e);
-      if (l == topology::kInvalidLink) continue;
-      if (e.fail) schedule.fail_at(e.t, l);
-      else schedule.restore_at(e.t, l);
-    }
-    for (const topology::LinkId l : reassert_downs) schedule.fail_at(reassert_t, l);
-    schedule.arm(sim);
-    churn.arm(sim);
-    sim.start();
-    q = oracle::run_to_quiescence(sim, switches, qopts);
-    result.quiesced = q.quiesced;
-    result.quiesced_at = q.at;
-    view.assign(switches.begin(), switches.end());
-    if (result.quiesced) {
-      oracle::RouteOracle oracle(compiled.graph, evaluator, final_link_state(c));
-      result.report = oracle::check_invariants(
-          oracle, view, q.at, oracle::options_for(compiled.isotonicity));
-      result.usable_digest = oracle::usable_fwdt_digest(view, q.at);
-      if (c.cross_check) {
-        // Dense FwdT/BestT vs the shadow PR 4 hash-map tables, every switch.
-        for (const dataplane::ContraSwitch* sw : view) {
-          const std::string diff = sw->check_reference_parity(q.at);
-          if (!diff.empty()) {
-            result.cross_note = "dense/reference parity: " + diff;
-            break;
-          }
-        }
-      }
-    }
-  } else {
-    cfg.workers = c.workers;
-    sim::ParallelSimulator psim(c.topo, cfg);
-    std::vector<dataplane::ContraSwitch*> switches;
-    psim.for_each_shard([&](sim::Simulator& shard_sim) {
-      auto owned = dataplane::install_contra_network(shard_sim, compiled, evaluator, options);
-      switches.insert(switches.end(), owned.begin(), owned.end());
-    });
-    for (const FailEvent& e : c.events) {
-      const topology::LinkId l = resolve(e);
-      if (l != topology::kInvalidLink) psim.schedule_cable_event(e.t, l, e.fail);
-    }
-    for (const topology::LinkId l : reassert_downs) psim.schedule_cable_event(reassert_t, l, true);
-    churn.arm(psim);
-    psim.start();
-    q = oracle::run_to_quiescence(psim, switches, qopts);
-    result.quiesced = q.quiesced;
-    result.quiesced_at = q.at;
-    view.assign(switches.begin(), switches.end());
-    if (result.quiesced) {
-      oracle::RouteOracle oracle(compiled.graph, evaluator, final_link_state(c));
-      result.report = oracle::check_invariants(
-          oracle, view, q.at, oracle::options_for(compiled.isotonicity));
-      result.usable_digest = oracle::usable_fwdt_digest(view, q.at);
-      if (c.cross_check) {
-        // Dense FwdT/BestT vs the shadow PR 4 hash-map tables, every switch.
-        for (const dataplane::ContraSwitch* sw : view) {
-          const std::string diff = sw->check_reference_parity(q.at);
-          if (!diff.empty()) {
-            result.cross_note = "dense/reference parity: " + diff;
-            break;
-          }
+  cfg.workers = c.workers;
+  sim::ParallelSimulator psim(c.topo, cfg);
+  std::vector<dataplane::ContraSwitch*> switches;
+  psim.for_each_shard([&](sim::Simulator& shard_sim) {
+    auto owned = dataplane::install_contra_network(shard_sim, compiled, evaluator, options);
+    switches.insert(switches.end(), owned.begin(), owned.end());
+  });
+  for (const FailEvent& e : c.events) {
+    const topology::LinkId l = resolve(e);
+    if (l != topology::kInvalidLink) psim.schedule_cable_event(e.t, l, e.fail);
+  }
+  for (const topology::LinkId l : reassert_downs) psim.schedule_cable_event(reassert_t, l, true);
+  churn.arm(psim);
+  psim.start();
+  q = oracle::run_to_quiescence(psim, switches, qopts);
+  result.quiesced = q.quiesced;
+  result.quiesced_at = q.at;
+  view.assign(switches.begin(), switches.end());
+  if (result.quiesced) {
+    oracle::RouteOracle oracle(compiled.graph, evaluator, final_link_state(c));
+    result.report = oracle::check_invariants(
+        oracle, view, q.at, oracle::options_for(compiled.isotonicity));
+    result.usable_digest = oracle::usable_fwdt_digest(view, q.at);
+    if (c.cross_check) {
+      // Dense FwdT/BestT vs the shadow PR 4 hash-map tables, every switch.
+      for (const dataplane::ContraSwitch* sw : view) {
+        const std::string diff = sw->check_reference_parity(q.at);
+        if (!diff.empty()) {
+          result.cross_note = "dense/reference parity: " + diff;
+          break;
         }
       }
     }
@@ -615,16 +578,16 @@ std::optional<FuzzCase> parse_repro(const std::string& text, std::string* error)
   return c;
 }
 
-/// Greedy minimization: prefer a serial repro over a parallel one, then drop
+/// Greedy minimization: prefer a one-shard repro over a sharded one, then drop
 /// failure events that are not needed to reproduce the violation.
 FuzzCase minimize_case(FuzzCase c) {
   auto still_violates = [](const FuzzCase& candidate) {
     return run_case(candidate, false).violated();
   };
   if (c.workers != 0) {
-    FuzzCase serial = c;
-    serial.workers = 0;
-    if (still_violates(serial)) c = std::move(serial);
+    FuzzCase one_shard = c;
+    one_shard.workers = 0;
+    if (still_violates(one_shard)) c = std::move(one_shard);
   }
   // Churn first: a repro that reproduces without the generated fault
   // schedule is far easier to reason about than one that needs it.

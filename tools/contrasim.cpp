@@ -57,15 +57,16 @@ int usage(const char* argv0) {
                "          [--stream]                    (lazy streaming workload generation --\n"
                "                                         O(senders) memory, own deterministic\n"
                "                                         arrival sequence; for 1M-flow runs)\n"
-               "          [--workers <n>]               (sharded parallel engine on n threads;\n"
-               "                                         see DESIGN.md s8 -- deterministic for\n"
-               "                                         any n; 0 without --shards runs the\n"
-               "                                         serial engine, the default)\n"
-               "          [--shards <n>]                (sharded engine with n shards, also\n"
-               "                                         without --workers; default 0 auto-\n"
-               "                                         sizes to topology+cores -- pass an\n"
-               "                                         explicit n to reproduce a schedule\n"
-               "                                         across machines)\n"
+               "          [--workers <n>]               (worker threads of the sharded engine,\n"
+               "                                         DESIGN.md s8 -- deterministic for any\n"
+               "                                         n; with neither --workers nor --shards\n"
+               "                                         the run is one shard, the serial\n"
+               "                                         engine, the default)\n"
+               "          [--shards <n>]                (partition into n shards, also without\n"
+               "                                         --workers; 0 with --workers auto-sizes\n"
+               "                                         to topology+cores -- pass an explicit\n"
+               "                                         n to reproduce a schedule across\n"
+               "                                         machines)\n"
                "          [--fail <nodeA>-<nodeB>]      (fail a cable pre-traffic)\n"
                "          [--fail-at-ms <t>]            (delay --fail until t)\n"
                "          [--churn-spec <spec.json>]    (scripted/generative fault waves:\n"
@@ -76,7 +77,8 @@ int usage(const char* argv0) {
                "                                            run manifest + convergence table)\n"
                "          [--metrics-json <file|->]     (final metrics snapshot)\n"
                "          [--metrics-interval-ms <t>]   (periodic snapshots, needs --metrics-json;\n"
-               "                                         parallel engine emits at phase boundaries)\n"
+               "                                         more than one shard emits at phase\n"
+               "                                         boundaries)\n"
                "          [--flows-out <flows.jsonl>]   (per-flow lifecycle records + FCT\n"
                "                                         summary in <file>.summary.json)\n"
                "          [--paths-out <paths.jsonl>]   (sampled INT-style per-hop path records)\n"
