@@ -59,7 +59,7 @@ ContraSwitch::ContraSwitch(const compiler::CompileResult& compiled,
   if (options_.reference_tables) reference_fwdt_.reserve(rows_.size());
   if (triggered()) {
     // All triggered-engine state is preallocated here so the steady-state
-    // scan/emit paths never allocate (the probe_steady_state bench gates it).
+    // scan/emit paths never allocate (the probe_flood bench gates it).
     const size_t num_links = compiled.graph.topo().num_links();
     neighbor_mv_.assign(rows_.size(), pg::MetricsVector{});
     probe_link_alive_.assign(num_links, 1);
@@ -531,9 +531,8 @@ void ContraSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link
   // the triggered engine (§12) the keepalive rounds play that role instead,
   // and the PR 5 receiver deferral is replaced by hold-down damping.
   const bool trig = triggered();
-  const bool suppression_active = !trig && options_.probe_suppression &&
-                                  options_.versioned_probes &&
-                                  options_.suppress_refresh_rounds > 1;
+  const bool suppression_active =
+      !trig && options_.versioned_probes && options_.suppress_refresh_rounds > 1;
   const bool refresh_round =
       trig ? keepalive_version(probe.version)
            : !suppression_active || probe.version % options_.suppress_refresh_rounds == 0;
@@ -744,13 +743,10 @@ void ContraSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link
   // protocol's: every refresh round replays the full flood, so the per-row
   // winner is decided by exactly the legacy comparisons.
   if (propagate && !refresh_round) {
-    const double lat_quantum = options_.suppress_lat_quantum_us;
-    const double lat_q = lat_quantum > 0
-                             ? std::round(probe.mv.lat / lat_quantum) * lat_quantum
-                             : probe.mv.lat;
     const AdvertState& adv = adverts_[row];
-    if (adv.valid && adv.util == probe.mv.util && adv.lat == lat_q &&
-        adv.len == probe.mv.len && adv.ntag == incoming_tag && adv.nhop == traffic_link) {
+    if (adv.valid && adv.util == probe.mv.util &&
+        adv.lat == quantize_advert_lat(probe.mv.lat) && adv.len == probe.mv.len &&
+        adv.ntag == incoming_tag && adv.nhop == traffic_link) {
       ++stats_.probes_suppressed;
       tel.metrics().add(tel.core().probes_suppressed);
       if (tel.tracing()) {
@@ -767,10 +763,8 @@ void ContraSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link
     // (triggered mode: keepalive floods must refresh it so the next
     // emit_deltas diffs against what neighbors actually heard).
     AdvertState& adv = adverts_[row];
-    const double lat_quantum = options_.suppress_lat_quantum_us;
     adv.util = probe.mv.util;
-    adv.lat = lat_quantum > 0 ? std::round(probe.mv.lat / lat_quantum) * lat_quantum
-                              : probe.mv.lat;
+    adv.lat = quantize_advert_lat(probe.mv.lat);
     adv.len = probe.mv.len;
     adv.ntag = incoming_tag;
     adv.nhop = traffic_link;

@@ -74,19 +74,18 @@ struct ContraSwitchOptions {
   /// accepted probe whose quantized advertisement — mv as carried (util is
   /// already register-quantized, latency via suppress_lat_quantum_us), next
   /// tag, next hop — matches what this switch last re-broadcast for the row
-  /// is not re-flooded. Refresh rounds (below) re-announce unconditionally,
+  /// is not re-flooded. Refresh rounds — origin rounds whose version is a
+  /// multiple of suppress_refresh_rounds — re-announce unconditionally,
   /// which keeps downstream failure detectors and metric expiry fed and pins
   /// the fixed point to the unsuppressed protocol's: on a refresh round every
   /// switch runs exactly the legacy propagate rule, so the steady-state
   /// winner per row is decided by the same comparisons in the same order.
   /// Requires versioned_probes (rounds are identified by the carried
   /// version); ignored under the classic distance-vector ablation.
-  bool probe_suppression = true;
-  /// Refresh cadence: origin rounds whose version is a multiple of this
-  /// value propagate under the unsuppressed rule. Must stay below
-  /// failure_detect_periods (default 3) so probe silence on a healthy path
-  /// never crosses the failure threshold between refreshes. <= 1 makes every
-  /// round a refresh round, i.e. disables suppression.
+  /// The cadence must stay below failure_detect_periods (default 3) so probe
+  /// silence on a healthy path never crosses the failure threshold between
+  /// refreshes. <= 1 makes every round a refresh round: the paper's periodic
+  /// flood, no suppression.
   uint32_t suppress_refresh_rounds = 2;
   /// Advertised-latency deltas below this many microseconds do not count as
   /// a change. Latency is propagation-only (see process_probe), so any real

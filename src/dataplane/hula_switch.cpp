@@ -1,6 +1,5 @@
 #include "dataplane/hula_switch.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "util/hash.h"
@@ -33,13 +32,7 @@ HulaSwitch::HulaSwitch(NodeId self, HulaOptions options)
       options_(options),
       flowlets_(options.flowlet_timeout_s),
       probe_clock_(options.probe_period_s),
-      // In triggered mode probe silence between keepalives is healthy, so the
-      // failure window spans keepalive rounds, not probe periods. Port
-      // signals (handle_link_state) restore the fast reaction.
-      failure_detector_(options.failure_detect_periods * options.probe_period_s *
-                        (options.triggered_updates && options.keepalive_rounds > 1
-                             ? static_cast<double>(options.keepalive_rounds)
-                             : 1.0)) {}
+      failure_detector_(options.failure_detect_periods * options.probe_period_s) {}
 
 void HulaSwitch::bind_telemetry(Simulator& sim) {
   telemetry_ = &sim.telemetry();
@@ -48,9 +41,6 @@ void HulaSwitch::bind_telemetry(Simulator& sim) {
   // The topology is first reachable here (the constructor has no Simulator):
   // size the per-link failure state once so the hot path never grows it.
   failure_detector_.reserve_links(sim.topo().num_links());
-  if (options_.triggered_updates && link_util_adv_.empty()) {
-    link_util_adv_.assign(sim.topo().num_links(), 0.0);
-  }
 }
 
 void HulaSwitch::start(Simulator& sim) {
@@ -65,31 +55,6 @@ void HulaSwitch::start(Simulator& sim) {
 
 void HulaSwitch::originate_probes(Simulator& sim) {
   const uint64_t version = probe_clock_.advance();
-  bool triggered_round = false;
-  if (options_.triggered_updates) {
-    // Drift scan: did the quantized utilization of any local link move since
-    // the last round we advertised? ToRs are the only originators in HULA, so
-    // local drift (and port signals via pending_trigger_) is what converts
-    // metric change into a probe wave; keepalive rounds cover the rest of the
-    // fabric at 1/keepalive_rounds the rate.
-    bool drift = false;
-    const double q = options_.util_quantum;
-    for (LinkId l : sim.topo().out_links(self_)) {
-      double util = sim.link(l).utilization();
-      if (q > 0.0) util = std::floor(util / q + 0.5) * q;
-      if (util != link_util_adv_[l]) {
-        link_util_adv_[l] = util;
-        drift = true;
-      }
-    }
-    const bool keepalive = keepalive_version(version);
-    if (!keepalive && !drift && !pending_trigger_) {
-      sim.events().schedule_in(options_.probe_period_s, [this, &sim] { originate_probes(sim); });
-      return;
-    }
-    triggered_round = !keepalive;
-    pending_trigger_ = false;
-  }
   for (LinkId l : sim.topo().out_links(self_)) {  // all uplinks (edge->agg)
     Packet probe;
     probe.kind = PacketKind::kProbe;
@@ -100,10 +65,6 @@ void HulaSwitch::originate_probes(Simulator& sim) {
     probe.routing.hula_up = true;
     ++stats_.probes_originated;
     telemetry_->metrics().add(telemetry_->core().probes_originated);
-    if (triggered_round) {
-      ++stats_.probes_triggered;
-      telemetry_->metrics().add(telemetry_->core().probes_triggered);
-    }
     if (telemetry_->tracing()) {
       obs::TraceRecord r;
       r.t = sim.now();
@@ -134,10 +95,6 @@ void HulaSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link) 
   obs::Telemetry& tel = *telemetry_;
   tel.metrics().add(tel.core().probes_received);
   tel.metrics().add(tel.core().probe_bytes_rx, packet.size_bytes);
-  if (options_.triggered_updates && keepalive_version(probe.version)) {
-    ++stats_.keepalive_probes;
-    tel.metrics().add(tel.core().keepalive_probes);
-  }
 
   // Path utilization toward the origin ToR: max over the traffic-direction
   // (reverse) links, exactly like Contra's mv update.
@@ -213,23 +170,8 @@ void HulaSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link) 
 bool HulaSwitch::entry_usable(const BestHop& entry, sim::Time now) const {
   if (entry.nhop == topology::kInvalidLink) return false;
   // Staleness doubles as failure detection: a failed next hop stops
-  // delivering probes, so its entry ages out. Triggered mode refreshes
-  // entries only on keepalive rounds, so the window scales with them.
-  return now - entry.updated_at <=
-         options_.metric_expiry_periods * options_.probe_period_s * window_scale();
-}
-
-void HulaSwitch::handle_link_state(Simulator& sim, LinkId link, bool up) {
-  if (!options_.triggered_updates) return;  // legacy mode: silence-based only
-  if (telemetry_ == nullptr) bind_telemetry(sim);
-  if (!up) {
-    // Probes toward us travel the reverse direction of our out-link.
-    failure_detector_.note_down(sim.topo().link(link).reverse, sim.now());
-  }
-  // A ToR re-originates at its next tick (≤ one period away) with a fresh
-  // version, so downstream switches adopt the post-transition paths without
-  // waiting for a keepalive round.
-  pending_trigger_ = true;
+  // delivering probes, so its entry ages out.
+  return now - entry.updated_at <= options_.metric_expiry_periods * options_.probe_period_s;
 }
 
 const HulaSwitch::BestHop* HulaSwitch::best_hop(NodeId dst_tor) const {

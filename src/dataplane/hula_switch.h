@@ -27,25 +27,12 @@ struct HulaOptions {
   double failure_detect_periods = 3.0;
   double metric_expiry_periods = 12.0;
   uint32_t probe_bytes = 64;
-
-  /// Triggered-update mode (DESIGN.md §12, HULA flavor): a ToR emits a probe
-  /// round only on keepalive rounds, when a local cable changed state, or
-  /// when the quantized utilization of one of its links drifted. Origination
-  /// is already rate-limited to one round per period, which doubles as the
-  /// hold-down. Staleness/failure windows scale by keepalive_rounds.
-  bool triggered_updates = false;
-  uint32_t keepalive_rounds = 32;
-  /// Quantization step for the drift detector (the register granularity the
-  /// Contra plane uses for the same purpose).
-  double util_quantum = 1.0 / 64;
 };
 
 struct HulaStats : BaselineStats {
   uint64_t probes_originated = 0;
   uint64_t probes_received = 0;
   uint64_t probes_propagated = 0;
-  uint64_t probes_triggered = 0;   ///< non-keepalive rounds emitted on drift/link events
-  uint64_t keepalive_probes = 0;   ///< probes received on keepalive rounds
 };
 
 class HulaSwitch : public sim::Device {
@@ -55,9 +42,6 @@ class HulaSwitch : public sim::Device {
   void start(sim::Simulator& sim) override;
   void handle_packet(sim::Simulator& sim, sim::Packet&& packet,
                      topology::LinkId in_link) override;
-  /// Port signal (triggered mode only): instant failure presumption on
-  /// down; ToRs queue an immediate re-origination either way.
-  void handle_link_state(sim::Simulator& sim, topology::LinkId link, bool up) override;
   /// Hybrid engine route query: forward_data's flowlet/best-hop selection
   /// without pinning, touching, or counting.
   topology::LinkId fluid_next_hop(sim::Simulator& sim, topology::NodeId dst_switch,
@@ -83,24 +67,9 @@ class HulaSwitch : public sim::Device {
   bool entry_usable(const BestHop& entry, sim::Time now) const;
   void bind_telemetry(sim::Simulator& sim);
 
-  /// Probe periods a protocol timing window spans (×keepalive cadence in
-  /// triggered mode — silence between keepalives is healthy).
-  double window_scale() const {
-    return options_.triggered_updates && options_.keepalive_rounds > 1
-               ? static_cast<double>(options_.keepalive_rounds)
-               : 1.0;
-  }
-  bool keepalive_version(uint64_t version) const {
-    return options_.keepalive_rounds <= 1 || version % options_.keepalive_rounds == 1;
-  }
-
   topology::NodeId self_;
   HulaOptions options_;
   topology::FatTreeLayer layer_ = topology::FatTreeLayer::kUnknown;
-  /// Triggered mode: last quantized utilization seen per out-link (drift
-  /// detector) and the port-signal re-origination flag.
-  std::vector<double> link_util_adv_;
-  bool pending_trigger_ = false;
 
   std::unordered_map<topology::NodeId, BestHop> best_;
   FlowletTable flowlets_;

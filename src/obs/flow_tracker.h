@@ -4,7 +4,7 @@
 // The tracker is an opt-in sink the transport pushes into; with no tracker
 // attached the transport pays one predictable branch per hook site and the
 // simulator pays one branch per link hop (see DESIGN.md §11 and the
-// `probe_flood_flowtrack_off` bench gate). Everything here is sim-free so it
+// `probe_flood_periodic` bench gate). Everything here is sim-free so it
 // can be unit-tested and merged across parallel shards without touching the
 // engine: under `--workers N` a flow's sender-side state lives on the source
 // shard and its receiver-side state on the destination shard, and

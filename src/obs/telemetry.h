@@ -25,7 +25,8 @@ struct CoreMetrics {
   CounterId fwdt_updates, route_flips;
   // Dense-table control plane (contra).
   CounterId probes_suppressed, dense_fallback_hits;
-  // Triggered-update control plane (contra + hula; DESIGN.md §12).
+  // Triggered-update control plane (contra; DESIGN.md §12). probe_bytes_rx
+  // counts on every probing plane.
   CounterId probes_triggered;          ///< probe copies sent by triggered emissions
   CounterId probes_holddown_deferred;  ///< trigger requests parked by the hold-down timer
   CounterId keepalive_probes;          ///< probes received on keepalive refresh rounds

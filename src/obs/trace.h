@@ -122,6 +122,19 @@ class MemoryTraceSink : public TraceSink {
   void write(const TraceRecord& record) override { records_.push_back(record); }
   const std::vector<TraceRecord>& records() const { return records_; }
   void clear() { records_.clear(); }
+  /// Moves the records with t < `before` to the end of `*out`, keeping
+  /// emission order on both sides.
+  void take_before(double before, std::vector<TraceRecord>* out) {
+    auto kept = records_.begin();
+    for (TraceRecord& r : records_) {
+      if (r.t < before) {
+        out->push_back(r);
+      } else {
+        *kept++ = r;
+      }
+    }
+    records_.erase(kept, records_.end());
+  }
 
  private:
   std::vector<TraceRecord> records_;

@@ -163,7 +163,9 @@ std::unique_ptr<LinkSampler> start_link_sampler(sim::Simulator& sim,
 
 /// Scores the sampled dataplane paths against per-time-bucket routing
 /// oracles fed the timeline's utilization view (quantized exactly like probe
-/// adverts) plus the failure. Reports the gated fraction.
+/// adverts) plus the cables the failure and the churn schedule hold down.
+/// Gray failures and drift stay out of the oracle's view. Reports the gated
+/// fraction.
 void run_optimality_audit(const Scenario& sc, const Policy& policy,
                           const obs::FlowTracker& tracker, const obs::LinkTimeline& timeline) {
   const topology::Topology& topo = sc.topo;
@@ -188,6 +190,9 @@ void run_optimality_audit(const Scenario& sc, const Policy& policy,
     }
     if (sc.fail_link != topology::kInvalidLink && (sc.fail_at_s <= 0.0 || t >= sc.fail_at_s)) {
       state.fail_cable(topo, sc.fail_link);
+    }
+    if (sc.churn != nullptr) {
+      for (topology::LinkId cable : sc.churn->cables_down_at(t)) state.fail_cable(topo, cable);
     }
     return state;
   };

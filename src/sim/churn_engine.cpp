@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -178,36 +179,46 @@ Time ChurnEngine::last_event_time() const {
   return last;
 }
 
-bool ChurnEngine::ends_clean() const {
-  // Replay the schedule in time order and check nothing is left installed.
+void ChurnEngine::replay_through(Time t, std::set<topology::LinkId>* down,
+                                 std::set<topology::LinkId>* grayed) const {
   std::vector<size_t> order(events_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
     return events_[a].at < events_[b].at;
   });
-  std::set<topology::LinkId> down;
-  std::set<topology::LinkId> grayed;
   for (size_t i : order) {
     const Event& ev = events_[i];
+    if (ev.at > t) break;
     switch (ev.op) {
       case Op::kFail:
-        down.insert(ev.link);
+        down->insert(ev.link);
         break;
       case Op::kRestore:
-        down.erase(ev.link);
+        down->erase(ev.link);
         break;
       case Op::kGraySet:
         if (gray_is_clear(ev.gray)) {
-          grayed.erase(ev.link);
+          grayed->erase(ev.link);
         } else {
-          grayed.insert(ev.link);
+          grayed->insert(ev.link);
         }
         break;
       case Op::kRestart:
         break;
     }
   }
+}
+
+bool ChurnEngine::ends_clean() const {
+  std::set<topology::LinkId> down, grayed;
+  replay_through(std::numeric_limits<Time>::infinity(), &down, &grayed);
   return down.empty() && grayed.empty();
+}
+
+std::vector<topology::LinkId> ChurnEngine::cables_down_at(Time t) const {
+  std::set<topology::LinkId> down, grayed;
+  replay_through(t, &down, &grayed);
+  return {down.begin(), down.end()};
 }
 
 bool ChurnEngine::has_restarts() const {

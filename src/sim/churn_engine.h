@@ -17,6 +17,7 @@
 // deterministic across --workers by the engine's own contract.
 #pragma once
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,9 @@ class ChurnEngine {
   /// the end of the schedule — the precondition for the all-links-up
   /// reconvergence oracle.
   bool ends_clean() const;
+  /// Cables the schedule holds down at `t` (events at `t` applied), each
+  /// named by the link id its fail event used.
+  std::vector<topology::LinkId> cables_down_at(Time t) const;
   /// Whether any wave restarts a control plane — restarted nodes may need a
   /// version-reset escape window on top of the usual quiescence margin.
   bool has_restarts() const;
@@ -107,6 +111,10 @@ class ChurnEngine {
   uint32_t begin_wave(FaultClass cls, Time at, std::string what);
   void push(Event ev) { events_.push_back(ev); }
   uint64_t gray_salt(topology::LinkId link, uint32_t wave) const;
+  /// Replays the events at or before `t` in time order into the links left
+  /// down and the links left gray.
+  void replay_through(Time t, std::set<topology::LinkId>* down,
+                      std::set<topology::LinkId>* grayed) const;
 
   const topology::Topology* topo_;
   std::vector<Event> events_;

@@ -305,9 +305,10 @@ void ParallelSimulator::run_span(Time end) {
                             profile_us(e1) - profile_us(e0));
       }
     }
-    if (snapshot_out_ != nullptr) {
+    if (snapshot_out_ != nullptr || tracing_) {
       Time committed_min = std::numeric_limits<Time>::infinity();
       for (const auto& shard : shards_) committed_min = std::min(committed_min, shard->committed);
+      if (tracing_) stream_trace_before(committed_min);
       emit_snapshots_through(std::min(committed_min, end));
     }
   }
@@ -319,6 +320,7 @@ void ParallelSimulator::run_span(Time end) {
     if (shard->sim.now() < end) shard->sim.run_until(end);
     shard->committed = std::max(shard->committed, end);
   }
+  if (tracing_) stream_trace_before(end);
   emit_snapshots_through(end);
   now_ = std::max(now_, end);
 }
@@ -369,9 +371,19 @@ void ParallelSimulator::enable_tracing(obs::TraceSink* sink) {
 }
 
 void ParallelSimulator::flush_trace() {
-  if (!tracing_) return;
-  for (const obs::TraceRecord& rec : merged_trace()) trace_sink_->write(rec);
-  for (auto& shard : shards_) shard->trace.clear();
+  if (tracing_) stream_trace_before(std::numeric_limits<Time>::infinity());
+}
+
+void ParallelSimulator::stream_trace_before(Time before) {
+  // Concatenate in shard order, then stable-sort by time alone: equal-time
+  // records keep (shard, emission index) order — the engine's canonical tie
+  // order. Every later record has t >= `before`, so the batches written over
+  // a run concatenate to the same order one whole-run merge would give.
+  trace_batch_.clear();
+  for (auto& shard : shards_) shard->trace.take_before(before, &trace_batch_);
+  std::stable_sort(trace_batch_.begin(), trace_batch_.end(),
+                   [](const obs::TraceRecord& a, const obs::TraceRecord& b) { return a.t < b.t; });
+  for (const obs::TraceRecord& rec : trace_batch_) trace_sink_->write(rec);
 }
 
 void ParallelSimulator::fail_cable(topology::LinkId link) {
@@ -468,22 +480,6 @@ uint64_t ParallelSimulator::events_clamped() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->sim.events().events_clamped();
   return total;
-}
-
-std::vector<obs::TraceRecord> ParallelSimulator::merged_trace() const {
-  std::vector<obs::TraceRecord> all;
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->trace.records().size();
-  all.reserve(total);
-  // Concatenate in shard order, then stable-sort by time alone: equal-time
-  // records keep (shard, emission index) order — the engine's canonical tie
-  // order.
-  for (const auto& shard : shards_) {
-    all.insert(all.end(), shard->trace.records().begin(), shard->trace.records().end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const obs::TraceRecord& a, const obs::TraceRecord& b) { return a.t < b.t; });
-  return all;
 }
 
 std::string ParallelSimulator::merged_metrics_json(double t) const {

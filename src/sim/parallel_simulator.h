@@ -109,11 +109,13 @@ class ParallelSimulator {
 
   /// Sends the control-plane trace to `sink`, which must outlive the run.
   /// With one shard the records reach the sink as they are emitted. With
-  /// more, each shard buffers its own and flush_trace() writes them merged
-  /// in (t, shard, emission index) order. Call before start().
+  /// more, each shard buffers its own, and after every phase the records
+  /// older than every shard's committed time — which no shard can still
+  /// precede — are written merged in (t, shard, emission index) order.
+  /// Call before start().
   void enable_tracing(obs::TraceSink* sink);
-  /// Writes the shard trace buffers to the sink, merged, and empties them.
-  /// Nothing is buffered with one shard.
+  /// Writes the rest of the shard trace buffers to the sink, merged, and
+  /// empties them. Nothing is buffered with one shard.
   void flush_trace();
 
   /// Attaches a wall-clock engine profiler (obs::EngineProfiler built with
@@ -195,8 +197,9 @@ class ParallelSimulator {
   void execute_phase();
   void worker_loop(uint32_t worker);
   void wait_done();
-  /// All shard trace buffers merged in (t, shard, emission index) order.
-  std::vector<obs::TraceRecord> merged_trace() const;
+  /// Writes the buffered records with t < `before`, merged in (t, shard,
+  /// emission index) order.
+  void stream_trace_before(Time before);
 
   const topology::Topology* topo_;
   SimConfig config_;
@@ -209,6 +212,7 @@ class ParallelSimulator {
   uint64_t solo_phases_ = 0;
   bool tracing_ = false;  ///< shards buffer trace records (more than one shard)
   obs::TraceSink* trace_sink_ = nullptr;
+  std::vector<obs::TraceRecord> trace_batch_;  ///< stream_trace_before scratch
 
   // Engine profiling (opt-in; see set_profiler).
   obs::EngineProfiler* profiler_ = nullptr;

@@ -91,7 +91,7 @@ class Simulator {
   /// count on every fabric hop, and packets flagged `int_sampled` record
   /// per-hop INT state (DESIGN.md §11). Off by default — the hot path then
   /// pays exactly one predictable branch per hop (bench-gated by
-  /// `probe_flood_flowtrack_off`).
+  /// `probe_flood_periodic`).
   void set_flow_telemetry(bool enabled) { flow_telemetry_ = enabled; }
   bool flow_telemetry() const { return flow_telemetry_; }
 

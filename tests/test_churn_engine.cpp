@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "oracle/checker.h"
 #include "oracle/oracle.h"
 #include "oracle/quiesce.h"
+#include "scenario/scenario.h"
 #include "sim/churn_engine.h"
 #include "sim/event_queue.h"
 #include "sim/link.h"
@@ -563,6 +565,70 @@ TEST(ChurnEngine, SerialMixedChurnQuiescesToOracleFixedPoint) {
   for (const auto& cls : report.by_class) {
     EXPECT_EQ(cls.waves, 1u);
   }
+}
+
+// ---- optimality audit under churn ----------------------------------------
+
+TEST(ChurnEngine, CablesDownAtReplaysTheSchedule) {
+  const Topology topo = topology::ring(4);
+  const topology::LinkId l01 = topo.link_between(0, 1);
+  const topology::LinkId l12 = topo.link_between(1, 2);
+  ChurnEngine churn(topo);
+  churn.flap(l01, 1e-3, 1e-3, 2).srg({l12}, 2.5e-3, 10e-3);
+  EXPECT_TRUE(churn.cables_down_at(0.5e-3).empty());
+  EXPECT_EQ(churn.cables_down_at(1e-3), std::vector<topology::LinkId>{l01});
+  EXPECT_TRUE(churn.cables_down_at(2e-3).empty());
+  EXPECT_EQ(churn.cables_down_at(3e-3), (std::vector<topology::LinkId>{l01, l12}));
+  EXPECT_EQ(churn.cables_down_at(4.5e-3), std::vector<topology::LinkId>{l12});
+  EXPECT_TRUE(churn.cables_down_at(10e-3).empty());
+}
+
+/// The `audit :` line of a ring(6) run whose 0-1 cable is cut mid-traffic,
+/// forcing the 0 -> 2 flows from two hops onto four.
+std::string ring_cut_audit_line(bool cut_by_churn) {
+  scenario::Scenario sc;
+  sc.topo = topology::ring(6);
+  sc.sender_switches = {0};
+  sc.receiver_switches = {2};
+  sc.policy = "minimize(path.len)";
+  sc.workload.load = 0.3;
+  sc.workload.start = 2e-3;
+  sc.workload.duration = 20e-3;
+  sc.workload.size_scale = 0.05;
+  sc.drain_s = 10e-3;
+  sc.out.audit = true;
+  sc.out.path_sample_every = 4;
+  const topology::LinkId cut = sc.topo.link_between(0, 1);
+  const double cut_at = 8e-3;
+  ChurnEngine churn(sc.topo);
+  if (cut_by_churn) {
+    churn.srg({cut}, cut_at, 1.0);  // restores long after the run ends
+    sc.churn = &churn;
+  } else {
+    sc.fail_link = cut;
+    sc.fail_at_s = cut_at;
+  }
+  std::FILE* log = std::tmpfile();
+  if (log == nullptr) return "no tmpfile";
+  sc.out.log = log;
+  scenario::run(sc);
+  std::rewind(log);
+  std::string line;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, log) != nullptr) {
+    if (std::string(buf).rfind("audit", 0) == 0) line = buf;
+  }
+  std::fclose(log);
+  return line;
+}
+
+// The oracle view of a churn run holds the cables the schedule has down, so
+// a cut scheduled as a churn SRG scores exactly like the same cut given as
+// the scenario's failure.
+TEST(ChurnEngine, AuditSeesCablesTheScheduleHoldsDown) {
+  const std::string failed = ring_cut_audit_line(/*cut_by_churn=*/false);
+  ASSERT_NE(failed.find("samples"), std::string::npos) << failed;
+  EXPECT_EQ(ring_cut_audit_line(/*cut_by_churn=*/true), failed);
 }
 
 }  // namespace

@@ -536,7 +536,7 @@ void expect_suppression_preserves_fixed_point(const Topology& topo,
                                               bool include_util) {
   ContraSwitchOptions on;  // defaults: suppression enabled
   ContraSwitchOptions off;
-  off.probe_suppression = false;
+  off.suppress_refresh_rounds = 1;
   ContraWorld world_on(topo, policy, on);
   ContraWorld world_off(topo, policy, off);
   world_on.converge(10e-3);

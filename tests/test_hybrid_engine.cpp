@@ -285,7 +285,6 @@ TEST(Hybrid, UtilBlindPolicyStaysTriggerQuiet) {
   dataplane::ContraSwitchOptions options;
   options.probe_period_s = 256e-6;
   options.triggered_updates = true;
-  options.probe_suppression = true;
   // No keepalive round inside the run: the version-1 flood converges the
   // fabric and any triggered update afterwards can only come from local
   // change detection — which traffic must not excite under this policy.

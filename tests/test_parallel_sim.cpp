@@ -695,6 +695,55 @@ TEST(ParallelEngine, OneShardStreamsTraceWithoutSchedulerRecords) {
   EXPECT_EQ(psim.epochs_completed(), 0u);
 }
 
+// With more than one shard, records stream to the sink as the shards commit
+// past them, instead of waiting in the shard buffers for flush_trace().
+TEST(ParallelEngine, MultiShardStreamsTraceDuringRun) {
+  const topology::Topology topo = topology::fat_tree(4, topology::LinkParams{10e9, 1e-6});
+  const compiler::CompileResult compiled = compiler::compile("minimize(path.len)", topo);
+  const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
+  obs::MemoryTraceSink sink;
+  SimConfig config;
+  config.shards = 2;
+  config.workers = 2;
+  ParallelSimulator psim(topo, config);
+  ASSERT_EQ(psim.num_shards(), 2u);
+  psim.enable_tracing(&sink);
+  dataplane::ContraSwitchOptions options;
+  options.probe_period_s = 256e-6;
+  psim.for_each_shard([&](Simulator& shard_sim) {
+    dataplane::install_contra_network(shard_sim, compiled, evaluator, options);
+  });
+  psim.start();
+  const auto buffered = [&] {
+    size_t n = 0;
+    for (uint32_t s = 0; s < psim.num_shards(); ++s) n += psim.shard(s).trace.records().size();
+    return n;
+  };
+  const auto count_before = [](const std::vector<obs::TraceRecord>& records, double t) {
+    return std::count_if(records.begin(), records.end(),
+                         [t](const obs::TraceRecord& r) { return r.t < t; });
+  };
+
+  // Every record before the window's end reached the sink during run_until;
+  // only records at the end itself may still be buffered.
+  psim.run_until(1e-3);
+  const size_t streamed = sink.records().size();
+  EXPECT_GT(streamed, 0u);
+  EXPECT_EQ(count_before(sink.records(), 1e-3), static_cast<std::ptrdiff_t>(streamed));
+  for (uint32_t s = 0; s < psim.num_shards(); ++s) {
+    EXPECT_EQ(count_before(psim.shard(s).trace.records(), 1e-3), 0) << "shard " << s;
+  }
+  psim.run_until(2e-3);
+  EXPECT_GT(sink.records().size(), streamed);
+  const size_t total = sink.records().size() + buffered();
+  psim.flush_trace();
+  EXPECT_EQ(buffered(), 0u);
+  EXPECT_EQ(sink.records().size(), total);
+  EXPECT_TRUE(std::is_sorted(
+      sink.records().begin(), sink.records().end(),
+      [](const obs::TraceRecord& a, const obs::TraceRecord& b) { return a.t < b.t; }));
+}
+
 // ---- ContraSwitch loop-accounting cap (satellite: state-bound audit) -------
 
 TEST(ContraSwitch, RecentPacketWindowIsCapped) {

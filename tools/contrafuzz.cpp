@@ -329,7 +329,7 @@ CaseResult run_case(const FuzzCase& c, bool verbose) {
   // differential exact: both protocol variants measure identical (zero)
   // utilization even though they emit different probe loads.
   options.util_quantum = 1.0;
-  options.probe_suppression = c.suppression;
+  if (!c.suppression) options.suppress_refresh_rounds = 1;
   options.reference_tables = c.cross_check;
   options.triggered_updates = c.triggered;
   if (c.triggered) {
