@@ -21,11 +21,13 @@
 //       at least 90% fewer probe deliveries than probe_flood_periodic over
 //       the same window, the same usable-FwdT fixed point, and zero
 //       allocations.
-//   probe_failure_wave — one agg-core cable fails mid-run. Gate: the
-//       triggered failure wave costs fewer deliveries than the periodic
-//       recovery over the same window.
+//   probe_failure_wave — one agg-core cable fails and recovers again and
+//       again. Gate: the triggered failure and recovery waves cost fewer
+//       deliveries than the periodic protocol's over the same window.
 //   churn_waves — four fault waves; both engines must return to the
 //       all-links-up fixed point after every wave.
+//   data_forwarding — long-lived TCP flows across the fabric; the data
+//       path's cost per forwarded packet. Gate: zero allocations.
 //   parallel_scaling — the flood on 4 shards at workers 1..8 (see below).
 //   hybrid_fabric / hybrid_leaf_spine — the hybrid engine at scale (see
 //       below).
@@ -33,6 +35,10 @@
 // Every probe window also fails on any dense-table fallback. Every Contra
 // scenario builds its network through ContraNet on a sim::ParallelSimulator
 // (one shard, the serial engine, unless the scenario asks for more).
+// link_saturation, the probe floods, the failure wave and data_forwarding
+// size their simulated windows so that each measured window takes at least
+// 50 ms of wall time in a Release build on a 2.1 GHz Xeon; shorter windows
+// pass or fail a 10% throughput gate on noise.
 //
 // Emits machine-readable JSON (default BENCH_core.json);
 // tools/compare_bench.py compares the throughput of two reports.
@@ -100,6 +106,7 @@ struct ScenarioResult {
   uint64_t workload_probes = 0;  ///< unsuppressed deliveries for the same interval
   double fwdt_lookup_ns = 0.0;   ///< measured only in probe_flood
   uint64_t usable_digest = 0;    ///< usable-FwdT fixed point at scenario end
+  uint64_t forwarded = 0;        ///< data_forwarding: packets switches forwarded
   std::string extra_json;        ///< scenario-specific keys, emitted verbatim
 
   double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0.0; }
@@ -259,6 +266,7 @@ struct FloodWindow {
   uint64_t probes = 0;
   uint64_t suppressed = 0;
   uint64_t fallbacks = 0;
+  uint64_t forwarded = 0;  ///< data and ACK packets switches forwarded
   uint64_t digest = 0;  ///< usable-FwdT fixed point at the window's end
 };
 
@@ -273,6 +281,7 @@ FloodWindow measure_window(const char* scenario, ContraNet& net, sim::Time end) 
   const uint64_t probes_before = metrics.value(core.probes_received);
   const uint64_t suppressed_before = metrics.value(core.probes_suppressed);
   const uint64_t fallback_before = metrics.value(core.dense_fallback_hits);
+  const uint64_t forwarded_before = metrics.value(core.data_forwarded);
   const uint64_t allocs_before = util::alloc_count();
   const auto start = Clock::now();
   net.sim.run_until(end);
@@ -283,6 +292,7 @@ FloodWindow measure_window(const char* scenario, ContraNet& net, sim::Time end) 
   w.probes = metrics.value(core.probes_received) - probes_before;
   w.suppressed = metrics.value(core.probes_suppressed) - suppressed_before;
   w.fallbacks = metrics.value(core.dense_fallback_hits) - fallback_before;
+  w.forwarded = metrics.value(core.data_forwarded) - forwarded_before;
   w.digest = net.usable_digest();
   if (w.fallbacks != 0) {
     std::fprintf(stderr, "%s: dense_fallback_hits=%llu (want 0)\n", scenario,
@@ -318,8 +328,11 @@ ScenarioResult flood_result(const char* name, const FloodWindow& w, uint64_t wor
 
 // ---- probe floods ----------------------------------------------------------
 //
-// Each flood warms up for the first tenth of the run (tables converge, pools
-// and probe fan-out paths fill) and measures the rest.
+// Each flood warms up for `warm_s` (tables converge, pools and probe fan-out
+// paths fill) and measures the next `window_s`. All three floods measure
+// windows of one length: the unsuppressed flood's deliveries are the
+// workload the others normalize against, and probe_flood's reduction is
+// taken against probe_flood_periodic over the same window.
 
 /// Times ContraSwitch::fwd_entry over the switch's full compiled key universe
 /// (every (dst, tag, pid) the dense index addresses), ~2M lookups. A volatile
@@ -345,14 +358,14 @@ double measure_fwdt_lookup_ns(const dataplane::ContraSwitch& sw,
 }
 
 /// The paper's periodic flood: every round a refresh round, no suppression.
-ScenarioResult run_probe_flood_nosuppress(double sim_seconds) {
+ScenarioResult run_probe_flood_nosuppress(double warm_s, double window_s) {
   dataplane::ContraSwitchOptions options = flood_options();
   options.suppress_refresh_rounds = 1;
   ContraNet net(fat_tree4(), kFloodPolicy, options);
   net.sim.start();
-  net.sim.run_until(sim_seconds * 0.1);
+  net.sim.run_until(warm_s);
   return flood_result("probe_flood_nosuppress",
-                      measure_window("probe_flood_nosuppress", net, sim_seconds * 1.1),
+                      measure_window("probe_flood_nosuppress", net, warm_s + window_s),
                       /*workload_probes=*/0);
 }
 
@@ -364,7 +377,8 @@ ScenarioResult run_probe_flood_nosuppress(double sim_seconds) {
 /// measured window — back at probe steady state, no trace sink, no
 /// FlowTracker, path sampling off — must keep the always-on counters
 /// advancing at exactly zero heap allocations.
-ScenarioResult run_probe_flood_periodic(double sim_seconds, uint64_t workload_probes) {
+ScenarioResult run_probe_flood_periodic(double warm_s, double window_s,
+                                        uint64_t workload_probes) {
   constexpr const char* kName = "probe_flood_periodic";
   ContraNet net(fat_tree4(), kFloodPolicy, flood_options());
   const sim::HostId sender = net.sim.add_host(net.topo.find("e0_0"));
@@ -372,13 +386,13 @@ ScenarioResult run_probe_flood_periodic(double sim_seconds, uint64_t workload_pr
   sim::ParallelTransport transport(net.sim);
   // Done and drained inside the warm-up window.
   transport.start_udp_flow(sender, receiver, /*rate_bps=*/200e6,
-                           /*start_time=*/sim_seconds * 0.01,
-                           /*stop_time=*/sim_seconds * 0.06);
+                           /*start_time=*/warm_s * 0.1,
+                           /*stop_time=*/warm_s * 0.6);
   net.sim.start();
-  net.sim.run_until(sim_seconds * 0.1);
+  net.sim.run_until(warm_s);
   if (transport.udp_bytes_received() == 0) fail(kName, "warm-up flow moved no data");
 
-  const FloodWindow w = measure_window(kName, net, sim_seconds * 1.1);
+  const FloodWindow w = measure_window(kName, net, warm_s + window_s);
   if (w.probes == 0) fail(kName, "telemetry counters did not advance");
   if (transport.flow_tracking() || net.sim.shard_sim(0).telemetry().tracing()) {
     fail(kName, "unexpected sink attached");
@@ -391,13 +405,13 @@ ScenarioResult run_probe_flood_periodic(double sim_seconds, uint64_t workload_pr
 /// probe_flood_periodic, held with keepalive-only steady traffic. Its
 /// probes_per_s stays normalized to the unsuppressed workload — "the same
 /// interval's routing protocol work, done in this much wall time".
-ScenarioResult run_probe_flood(double sim_seconds, uint64_t workload_probes,
+ScenarioResult run_probe_flood(double warm_s, double window_s, uint64_t workload_probes,
                                const ScenarioResult& periodic) {
   constexpr const char* kName = "probe_flood";
   ContraNet net(fat_tree4(), kFloodPolicy, flood_options(/*triggered=*/true));
   net.sim.start();
-  net.sim.run_until(sim_seconds * 0.1);
-  const FloodWindow w = measure_window(kName, net, sim_seconds * 1.1);
+  net.sim.run_until(warm_s);
+  const FloodWindow w = measure_window(kName, net, warm_s + window_s);
   require_zero_allocs(kName, w);
 
   const double reduction =
@@ -430,24 +444,30 @@ ScenarioResult run_probe_flood(double sim_seconds, uint64_t workload_probes,
 }
 
 // ---- probe_failure_wave ----------------------------------------------------
+//
+// After convergence, one agg-core cable flaps: it fails, recovers `wave_s`
+// later, fails again `wave_s` after that, and so on for `cycles` cycles, so
+// the whole measured window is failure and recovery waves.
 
-FloodWindow run_failure_wave_mode(bool triggered, double converge_s, double wave_s) {
+FloodWindow run_failure_wave_mode(bool triggered, double converge_s, double wave_s,
+                                  int cycles) {
   ContraNet net(fat_tree4(), kFloodPolicy, flood_options(triggered));
+  sim::ChurnEngine churn(net.topo);
+  churn.flap(net.topo.link_between(net.topo.find("a0_0"), net.topo.find("c0")), converge_s,
+             wave_s, cycles);
+  churn.arm(net.sim);
   net.sim.start();
   net.sim.run_until(converge_s);
-  net.sim.fail_cable(net.topo.link_between(net.topo.find("a0_0"), net.topo.find("c0")));
-  return measure_window("probe_failure_wave", net, converge_s + wave_s);
+  return measure_window("probe_failure_wave", net, converge_s + 2 * cycles * wave_s);
 }
 
-ScenarioResult run_probe_failure_wave(double sim_seconds) {
-  const double converge_s = sim_seconds * 0.4;
-  const double wave_s = sim_seconds * 0.3;
-  const FloodWindow periodic = run_failure_wave_mode(false, converge_s, wave_s);
-  const FloodWindow trig = run_failure_wave_mode(true, converge_s, wave_s);
+ScenarioResult run_probe_failure_wave(double converge_s, double wave_s, int cycles) {
+  const FloodWindow periodic = run_failure_wave_mode(false, converge_s, wave_s, cycles);
+  const FloodWindow trig = run_failure_wave_mode(true, converge_s, wave_s, cycles);
 
   if (trig.probes >= periodic.probes) {
     std::fprintf(stderr,
-                 "probe_failure_wave: triggered wave (%llu probes) not cheaper "
+                 "probe_failure_wave: triggered waves (%llu probes) not cheaper "
                  "than periodic (%llu)\n",
                  static_cast<unsigned long long>(trig.probes),
                  static_cast<unsigned long long>(periodic.probes));
@@ -456,8 +476,8 @@ ScenarioResult run_probe_failure_wave(double sim_seconds) {
 
   ScenarioResult result = flood_result("probe_failure_wave", trig, periodic.probes);
   char buf[160];
-  std::snprintf(buf, sizeof buf, ", \"wave_ratio\": %.4f",
-                periodic.probes ? double(trig.probes) / periodic.probes : 0.0);
+  std::snprintf(buf, sizeof buf, ", \"wave_ratio\": %.4f, \"waves\": %d",
+                periodic.probes ? double(trig.probes) / periodic.probes : 0.0, 2 * cycles);
   result.extra_json = buf;
   return result;
 }
@@ -557,6 +577,51 @@ ScenarioResult run_churn_waves(double sim_seconds) {
   result.allocs_per_event = 0.0;
   result.usable_digest = trig.digest;
   result.extra_json = ", \"waves\": 4, \"modes\": 2, \"digest_match\": true";
+  return result;
+}
+
+// ---- data_forwarding -------------------------------------------------------
+//
+// The data path's layer cost (ROADMAP aim 1): one long-lived TCP flow from
+// every edge switch to the edge switch half the fabric away, under the
+// paper's default probe period. Every hop runs source selection or the
+// flowlet lookup, the loop-accounting window, a link enqueue and delivery,
+// and at the hosts the TCP endpoints. Shallow 64-packet buffers give each
+// flow a regular loss-and-recovery sawtooth, so within the warm-up every
+// flat table and link FIFO reaches the capacity it keeps. The window then
+// reports wall ns per forwarded packet (data and ACK packets through
+// switches; probes, links and hosts included in the wall time) and fails on
+// any allocation.
+
+ScenarioResult run_data_forwarding(double warm_s, double window_s) {
+  constexpr const char* kName = "data_forwarding";
+  sim::SimConfig config;
+  config.queue_capacity_bytes = 64 * 1500;
+  ContraNet net(fat_tree4(), kFloodPolicy, dataplane::ContraSwitchOptions{}, config);
+  const std::vector<sim::HostId> hosts = sim::attach_hosts_to_fat_tree_edges(net.sim, 1);
+  sim::ParallelTransport transport(net.sim);
+  for (size_t i = 0; i < hosts.size(); ++i) {
+    transport.start_flow(hosts[i], hosts[(i + hosts.size() / 2) % hosts.size()],
+                         /*bytes=*/uint64_t{1} << 40, /*start_time=*/1e-3);
+  }
+  net.sim.start();
+  net.sim.run_until(warm_s);
+  const FloodWindow w = measure_window(kName, net, warm_s + window_s);
+  if (w.forwarded == 0) fail(kName, "no data packets forwarded");
+  require_zero_allocs(kName, w);
+
+  ScenarioResult result;
+  result.name = kName;
+  result.events = w.events;
+  result.wall_s = w.wall_s;
+  result.allocs_per_event = 0.0;
+  result.forwarded = w.forwarded;
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                ", \"forwarded\": %llu, \"ns_per_forwarded\": %.1f, \"forwarded_per_s\": %.0f",
+                static_cast<unsigned long long>(w.forwarded), w.wall_s * 1e9 / w.forwarded,
+                w.forwarded / w.wall_s);
+  result.extra_json = buf;
   return result;
 }
 
@@ -1032,21 +1097,37 @@ int main(int argc, char** argv) {
     hybrid.push_back(run_hybrid_scale_isolated(leaf));
   }
 
+  // Simulated windows, in units of --sim-seconds (default 20 ms). The probe
+  // floods and the failure wave measure long windows because the triggered
+  // engine sends so few probes: probe_flood covers 400 ms of simulated time,
+  // the failure wave 32 fail-and-recover cycles of 12 ms. data_forwarding
+  // warms up for 50 ms, several loss sawtooth periods of its flows.
+  // link_saturation runs 800 ms: a bare link moves 30M events/s.
+  const double flood_warm_s = sim_seconds * 0.1;
+  const double flood_window_s = sim_seconds * 20;
+  const double wave_converge_s = sim_seconds * 0.4;
+  const double wave_s = sim_seconds * 0.3;
+  constexpr int kWaveCycles = 32;
+  const double forwarding_warm_s = sim_seconds * 2.5;
+  const double forwarding_window_s = sim_seconds * 0.25;
+
   // Best-of-N: wall-clock noise only ever slows a run down.
   std::vector<ScenarioResult> best;
   for (int rep = 0; rep < repeats; ++rep) {
     std::vector<ScenarioResult> round;
     round.push_back(run_event_throughput(timer_events));
-    round.push_back(run_link_saturation(sim_seconds));
+    round.push_back(run_link_saturation(sim_seconds * 40));
     // The unsuppressed flood runs first: its (deterministic) delivery count is
     // the workload numerator for the other floods' probes_per_s.
-    round.push_back(run_probe_flood_nosuppress(sim_seconds));
+    round.push_back(run_probe_flood_nosuppress(flood_warm_s, flood_window_s));
     const uint64_t workload_probes = round.back().probes_received;
-    const ScenarioResult periodic = run_probe_flood_periodic(sim_seconds, workload_probes);
+    const ScenarioResult periodic =
+        run_probe_flood_periodic(flood_warm_s, flood_window_s, workload_probes);
     round.push_back(periodic);
-    round.push_back(run_probe_flood(sim_seconds, workload_probes, periodic));
-    round.push_back(run_probe_failure_wave(sim_seconds));
+    round.push_back(run_probe_flood(flood_warm_s, flood_window_s, workload_probes, periodic));
+    round.push_back(run_probe_failure_wave(wave_converge_s, wave_s, kWaveCycles));
     round.push_back(run_churn_waves(sim_seconds));
+    round.push_back(run_data_forwarding(forwarding_warm_s, forwarding_window_s));
     if (best.empty()) {
       best = round;
     } else {
@@ -1068,6 +1149,11 @@ int main(int argc, char** argv) {
                   "", static_cast<unsigned long long>(r.probes_received), r.probes_per_s(),
                   100.0 * r.probe_suppression_rate(),
                   static_cast<unsigned long long>(r.dense_fallback_hits), r.fwdt_lookup_ns);
+    }
+    if (r.forwarded > 0) {
+      std::printf("%-25s %9llu forwarded  %8.1f ns/packet  %12.0f packets/s\n", "",
+                  static_cast<unsigned long long>(r.forwarded), r.wall_s * 1e9 / r.forwarded,
+                  r.forwarded / r.wall_s);
     }
   }
 

@@ -837,6 +837,9 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
     packet.path.get_or_create().trace.push_back(static_cast<uint16_t>(self_));
   }
 
+  // The five-tuple hash (flowlet id), hashed at most once per switch: here
+  // before source selection, in transit only when the packet moves on.
+  uint32_t fid = 0;
   if (in_link == sim::kFromHost) {
     if (packet.dst_switch == self_) {  // same-rack delivery
       ++stats_.data_to_host;
@@ -846,14 +849,14 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
     // First switch: BestT selection stamps (tag, pid) — the s() rank over
     // every candidate entry for this destination. The selection itself is
     // flowlet-pinned so a flowlet stays on one (tag, pid) path.
-    const uint32_t fid = util::hash_five_tuple(packet.tuple);
-    auto pin = source_pins_.find(fid);
+    fid = util::hash_five_tuple(packet.tuple);
+    SourcePin* pin = source_pins_.find(fid);
     // Strict <: a gap of exactly the timeout expires the pin, matching
     // FlowletTable::lookup's >= expiry (§5.2 boundary semantics).
-    if (pin != source_pins_.end() && now - pin->second.last_seen < options_.flowlet_timeout_s) {
-      packet.routing.tag = pin->second.tag;
-      packet.routing.pid = pin->second.pid;
-      pin->second.last_seen = now;
+    if (pin != nullptr && now - pin->last_seen < options_.flowlet_timeout_s) {
+      packet.routing.tag = pin->tag;
+      packet.routing.pid = pin->pid;
+      pin->last_seen = now;
     } else {
       const auto choice = best_choice(packet.dst_switch, now);
       if (!choice) {
@@ -875,10 +878,10 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
       recent_packets_.clear();
       recent_packets_reset_ = now;
     }
-    auto [it, inserted] = recent_packets_.try_emplace(packet.id, uint8_t{0});
-    if (!inserted && it->second == 0) {
+    auto [counted, inserted] = recent_packets_.try_emplace(packet.id, uint8_t{0});
+    if (!inserted && *counted == 0) {
       ++stats_.looped_packets_seen;
-      it->second = 1;
+      *counted = 1;
     }
   }
 
@@ -888,7 +891,7 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
     return;
   }
 
-  const uint32_t fid = util::hash_five_tuple(packet.tuple);
+  if (in_link != sim::kFromHost) fid = util::hash_five_tuple(packet.tuple);
   const FlowletKey fkey = options_.policy_aware_flowlets
                               ? FlowletKey{packet.routing.tag, packet.routing.pid, fid}
                               : FlowletKey{0, 0, fid};
@@ -965,12 +968,12 @@ LinkId ContraSwitch::fluid_next_hop(Simulator& sim, NodeId dst_switch,
   // no flowlets pinned/touched/flushed, no stats counted — fluid flows must
   // not perturb the packet-level state the sampled subset still exercises.
   const sim::Time now = sim.now();
+  const uint32_t fid = util::hash_five_tuple(tuple);
   if (!routing.stamped) {
-    const uint32_t fid = util::hash_five_tuple(tuple);
-    auto pin = source_pins_.find(fid);
-    if (pin != source_pins_.end() && now - pin->second.last_seen < options_.flowlet_timeout_s) {
-      routing.tag = pin->second.tag;
-      routing.pid = pin->second.pid;
+    const SourcePin* pin = source_pins_.find(fid);
+    if (pin != nullptr && now - pin->last_seen < options_.flowlet_timeout_s) {
+      routing.tag = pin->tag;
+      routing.pid = pin->pid;
     } else {
       const auto choice = best_choice(dst_switch, now);
       if (!choice) return topology::kInvalidLink;
@@ -981,7 +984,6 @@ LinkId ContraSwitch::fluid_next_hop(Simulator& sim, NodeId dst_switch,
     routing.stamped = true;
   }
 
-  const uint32_t fid = util::hash_five_tuple(tuple);
   const FlowletKey fkey = options_.policy_aware_flowlets
                               ? FlowletKey{routing.tag, routing.pid, fid}
                               : FlowletKey{0, 0, fid};

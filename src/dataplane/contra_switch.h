@@ -31,6 +31,7 @@
 #include "pg/policy_eval.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
+#include "util/flat_map.h"
 
 namespace contra::dataplane {
 
@@ -252,6 +253,8 @@ class ContraSwitch : public sim::Device {
   /// window, exactly like the periodic reset, so the map cannot grow without
   /// bound on long runs with many distinct packets.
   static constexpr size_t kRecentPacketsCap = 1u << 16;
+  /// Slots of the loop-accounting table's first allocation.
+  static constexpr size_t kRecentPacketsFirstSlots = 128;
 
   /// Renders FwdT + BestT in the paper's Fig. 6e layout:
   ///   [dst, tag, pid] -> mv, ntag, nhop, version   (* marks BestT's pick)
@@ -426,7 +429,7 @@ class ContraSwitch : public sim::Device {
     uint32_t pid = 0;
     sim::Time last_seen = 0.0;
   };
-  std::unordered_map<uint32_t, SourcePin> source_pins_;
+  util::FlatMap<uint32_t, SourcePin> source_pins_;
 
   FlowletTable flowlets_;
   LoopDetector loop_detector_;
@@ -436,11 +439,10 @@ class ContraSwitch : public sim::Device {
   /// Exact loop accounting (simulator-side truth, not a switch table): packet
   /// ids seen recently at this switch; a revisit is a looped packet. Packet
   /// ids are near-sequential (and shard-namespaced under the parallel
-  /// engine), so they go through a full 64-bit mix before bucketing.
-  struct PacketIdHash {
-    size_t operator()(uint64_t id) const { return static_cast<size_t>(util::mix64(id)); }
-  };
-  std::unordered_map<uint64_t, uint8_t, PacketIdHash> recent_packets_;
+  /// engine), so util::MixHash puts them through a full 64-bit mix before
+  /// bucketing. The first allocation holds a few milliseconds of one flow's
+  /// packets, so a light flow never grows the window table.
+  util::FlatMap<uint64_t, uint8_t> recent_packets_{kRecentPacketsFirstSlots};
   sim::Time recent_packets_reset_ = 0.0;
 
   ContraSwitchStats stats_;

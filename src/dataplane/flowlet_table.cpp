@@ -22,68 +22,63 @@ void FlowletTable::remember_prev_nhop(const FlowletKey& key, topology::LinkId nh
 }
 
 FlowletEntry* FlowletTable::lookup(const FlowletKey& key, sim::Time now) {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
+  FlowletEntry* entry = table_.find(key);
+  if (entry == nullptr) {
     ++stats_.misses;
     return nullptr;
   }
   // A flowlet whose inter-packet gap reached the timeout is expired: the
   // §5.2 failover story needs the boundary packet to re-rate, so the
   // comparison is >= (not >).
-  if (now - it->second.last_seen >= timeout_s_) {
-    remember_prev_nhop(key, it->second.nhop);
+  if (now - entry->last_seen >= timeout_s_) {
+    remember_prev_nhop(key, entry->nhop);
     if (telemetry_ != nullptr) {
       telemetry_->metrics().add(telemetry_->core().flowlets_expired);
       if (telemetry_->tracing()) {
-        emit(obs::Ev::kFlowletExpire, key, it->second.nhop, now,
-             now - it->second.last_seen);
+        emit(obs::Ev::kFlowletExpire, key, entry->nhop, now, now - entry->last_seen);
       }
     }
-    table_.erase(it);
+    table_.erase(key);
     ++stats_.expirations;
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  return &it->second;
+  return entry;
 }
 
 void FlowletTable::pin(const FlowletKey& key, const FlowletEntry& entry, sim::Time now) {
-  auto prev = prev_nhop_.find(key);
-  const bool switched = prev != prev_nhop_.end() && prev->second != entry.nhop;
+  const topology::LinkId* prev = prev_nhop_.find(key);
+  const bool switched = prev != nullptr && *prev != entry.nhop;
   if (switched) ++stats_.switches;
   if (telemetry_ != nullptr) {
     telemetry_->metrics().add(telemetry_->core().flowlets_created);
     if (switched) telemetry_->metrics().add(telemetry_->core().flowlets_switched);
     if (telemetry_->tracing()) {
       if (switched) {
-        emit(obs::Ev::kFlowletSwitch, key, entry.nhop, now,
-             static_cast<double>(prev->second));
+        emit(obs::Ev::kFlowletSwitch, key, entry.nhop, now, static_cast<double>(*prev));
       } else {
         emit(obs::Ev::kFlowletCreate, key, entry.nhop, now);
       }
     }
   }
-  if (prev != prev_nhop_.end()) prev_nhop_.erase(prev);
+  if (prev != nullptr) prev_nhop_.erase(key);
   table_[key] = entry;
 }
 
 void FlowletTable::touch(const FlowletKey& key, sim::Time now) {
-  auto it = table_.find(key);
-  if (it != table_.end()) it->second.last_seen = now;
+  if (FlowletEntry* entry = table_.find(key)) entry->last_seen = now;
 }
 
 void FlowletTable::flush(const FlowletKey& key, sim::Time now) {
-  auto it = table_.find(key);
-  if (it == table_.end()) return;
-  remember_prev_nhop(key, it->second.nhop);
+  const FlowletEntry* entry = table_.find(key);
+  if (entry == nullptr) return;
+  remember_prev_nhop(key, entry->nhop);
   if (telemetry_ != nullptr) {
     telemetry_->metrics().add(telemetry_->core().flowlets_flushed);
-    if (telemetry_->tracing()) {
-      emit(obs::Ev::kFlowletFlush, key, it->second.nhop, now);
-    }
+    if (telemetry_->tracing()) emit(obs::Ev::kFlowletFlush, key, entry->nhop, now);
   }
-  table_.erase(it);
+  table_.erase(key);
   ++stats_.flushes;
 }
 

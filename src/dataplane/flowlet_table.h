@@ -7,11 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "obs/telemetry.h"
 #include "sim/event_queue.h"
 #include "topology/topology.h"
+#include "util/flat_map.h"
 #include "util/hash.h"
 
 namespace contra::dataplane {
@@ -61,7 +61,7 @@ class FlowletTable {
   /// Bound on the path-switch tombstone map: keys that expired but were
   /// never re-pinned would otherwise accumulate forever, so reaching the cap
   /// restarts the window (losing only switch-vs-create attribution for the
-  /// dropped tombstones, never correctness).
+  /// dropped tombstones, never correctness). The restart is O(1).
   static constexpr size_t kPrevNhopCap = 1u << 12;
   size_t prev_nhop_window_size() const { return prev_nhop_.size(); }
 
@@ -87,7 +87,7 @@ class FlowletTable {
             double value = 0.0) const;
 
   double timeout_s_;
-  std::unordered_map<FlowletKey, FlowletEntry, FlowletKeyHash> table_;
+  util::FlatMap<FlowletKey, FlowletEntry, FlowletKeyHash> table_;
   FlowletStats stats_;
   void remember_prev_nhop(const FlowletKey& key, topology::LinkId nhop);
 
@@ -97,7 +97,7 @@ class FlowletTable {
   /// flowlet *switch* from a flowlet *create*. Maintained whenever entries
   /// are removed (metrics must count switches even without a trace sink) and
   /// bounded by kPrevNhopCap.
-  std::unordered_map<FlowletKey, topology::LinkId, FlowletKeyHash> prev_nhop_;
+  util::FlatMap<FlowletKey, topology::LinkId, FlowletKeyHash> prev_nhop_;
 };
 
 }  // namespace contra::dataplane

@@ -185,6 +185,7 @@ void TransportManager::tcp_complete(TcpSender& sender) {
   if (flow_tracker_) flow_tracker_->on_complete(sender.flow_id, sim_.now());
   sender.done = true;
   ++sender.rto_generation;  // cancels any outstanding timer
+  sender.send_time.release();
   completed_.push_back(FlowRecord{sender.flow_id, sender.src, sender.dst, sender.bytes,
                                   sender.start_time, sim_.now(), true});
 }
@@ -230,11 +231,7 @@ void TransportManager::on_data(Packet&& packet) {
   const bool marked = packet.ecn_marked;
   if (packet.seq == receiver.expected) {
     ++receiver.expected;
-    while (!receiver.out_of_order.empty() &&
-           *receiver.out_of_order.begin() == receiver.expected) {
-      receiver.out_of_order.erase(receiver.out_of_order.begin());
-      ++receiver.expected;
-    }
+    while (receiver.out_of_order.erase(receiver.expected)) ++receiver.expected;
   } else if (packet.seq > receiver.expected) {
     receiver.out_of_order.insert(packet.seq);
   }
@@ -279,9 +276,8 @@ void TransportManager::on_ack(Packet&& packet) {
   if (ack > sender.acked) {
     // RTT sample from the newest acked packet (ignore retransmits implicitly:
     // the stored time is the most recent transmission).
-    auto ts = sender.send_time.find(ack - 1);
-    if (ts != sender.send_time.end()) {
-      const double sample = sim_.now() - ts->second;
+    if (const Time* sent = sender.send_time.find(ack - 1)) {
+      const double sample = sim_.now() - *sent;
       if (!sender.rtt_seeded) {
         sender.srtt = sample;
         sender.rttvar = sample / 2.0;

@@ -7,11 +7,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.h"
+#include "util/flat_map.h"
 
 namespace contra::obs {
 class FlowTracker;
@@ -150,7 +150,9 @@ class TransportManager {
     bool started = false;
     bool done = false;
 
-    std::unordered_map<uint64_t, Time> send_time;
+    /// Last transmission time per unacked sequence number; freed when the
+    /// flow completes (senders_ keeps its entry for the whole run).
+    util::FlatMap<uint64_t, Time> send_time;
     uint16_t src_port = 0;
     uint16_t dst_port = 0;
 
@@ -163,7 +165,13 @@ class TransportManager {
 
   struct TcpReceiver {
     uint64_t expected = 0;
-    std::set<uint64_t> out_of_order;
+    /// Sequence numbers above `expected` that have arrived. Only membership
+    /// is read: every member is above `expected`, so draining by
+    /// erase(expected) walks the same run an ordered set's begin() would.
+    /// Its storage stays sized for the flow's longest out-of-order run: at
+    /// most 8/3 slots of 16 bytes per member of that run, where an ordered
+    /// set took one 40-byte node per member.
+    util::FlatSet<uint64_t> out_of_order;
     uint64_t max_seq_seen = 0;
     bool any_seen = false;
     uint64_t reordered = 0;  ///< packets arriving below an already-seen seq

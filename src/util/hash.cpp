@@ -21,8 +21,9 @@ const std::array<uint32_t, 256>& crc_table() {
 }  // namespace
 
 uint32_t crc32(std::span<const uint8_t> data, uint32_t seed) {
+  const std::array<uint32_t, 256>& table = crc_table();
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (uint8_t byte : data) c = crc_table()[(c ^ byte) & 0xFF] ^ (c >> 8);
+  for (uint8_t byte : data) c = table[(c ^ byte) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -47,13 +48,6 @@ uint32_t hash_five_tuple(const FiveTuple& t, uint32_t seed) {
   bytes[11] = static_cast<uint8_t>(t.dst_port);
   bytes[12] = t.protocol;
   return crc32(std::span<const uint8_t>(bytes), seed);
-}
-
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace contra::util

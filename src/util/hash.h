@@ -28,7 +28,12 @@ struct FiveTuple {
 uint32_t hash_five_tuple(const FiveTuple& t, uint32_t seed = 0);
 
 /// 64-bit mix (splitmix64) for hash-map keys built from small integers.
-uint64_t mix64(uint64_t x);
+inline uint64_t mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Combine two hashes (boost-style).
 inline uint64_t hash_combine(uint64_t a, uint64_t b) {

@@ -48,14 +48,13 @@ FlowStream::FlowStream(const EmpiricalCdf& sizes, std::vector<sim::HostId> sende
   }
   const double bits_per_flow = sizes.mean_bytes() * 8.0 * config.size_scale;
   rate_per_sender_ = config.load * config.sender_capacity_bps / bits_per_flow;
+  senders_.reserve(senders.size());
   heap_.reserve(senders.size());
   for (uint32_t i = 0; i < senders.size(); ++i) {
-    SenderState s;
-    s.rng = util::Rng(util::hash_combine(config.seed, i));
-    s.host = senders[i];
-    s.index = i;
-    s.next_t = config.start + s.rng.exponential(rate_per_sender_);
-    if (s.next_t < config.start + config.duration) heap_.push_back(std::move(s));
+    senders_.push_back(SenderState{util::Rng(util::hash_combine(config.seed, i)), senders[i]});
+    SenderState& s = senders_.back();
+    const sim::Time first = config.start + s.rng.exponential(rate_per_sender_);
+    if (first < config.start + config.duration) heap_.push_back(Arrival{first, i});
   }
   std::make_heap(heap_.begin(), heap_.end(), ByArrival{});
 }
@@ -67,9 +66,10 @@ sim::Time FlowStream::next_start() const {
 bool FlowStream::next(GeneratedFlow* out) {
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), ByArrival{});
-  SenderState& s = heap_.back();
+  Arrival& arrival = heap_.back();
+  SenderState& s = senders_[arrival.index];
   out->src = s.host;
-  out->start = s.next_t;
+  out->start = arrival.next_t;
   out->bytes = std::max<uint64_t>(
       1, static_cast<uint64_t>(sizes_->sample(s.rng) * config_.size_scale));
   do {
@@ -77,8 +77,8 @@ bool FlowStream::next(GeneratedFlow* out) {
         s.rng.uniform_int(0, static_cast<int64_t>(receivers_.size()) - 1))];
   } while (out->dst == s.host && receivers_.size() > 1);
   ++emitted_;
-  s.next_t += s.rng.exponential(rate_per_sender_);
-  if (s.next_t < config_.start + config_.duration) {
+  arrival.next_t += s.rng.exponential(rate_per_sender_);
+  if (arrival.next_t < config_.start + config_.duration) {
     std::push_heap(heap_.begin(), heap_.end(), ByArrival{});
   } else {
     heap_.pop_back();

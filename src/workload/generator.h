@@ -42,9 +42,9 @@ std::vector<GeneratedFlow> generate_poisson(const EmpiricalCdf& sizes,
 
 /// Lazy variant of generate_poisson for production-scale runs: the same
 /// per-sender Poisson processes, materialized one flow at a time in global
-/// arrival order. Memory is O(senders) — one Rng and one next-arrival per
-/// sender in a min-heap — never O(flows), so a fat-tree k=16 / 1M-flow run
-/// holds no flow list at all. Each sender's stream is seeded with
+/// arrival order. Memory is O(senders) — one Rng per sender, and a min-heap
+/// of (next arrival, sender) keys — never O(flows), so a fat-tree k=16 /
+/// 1M-flow run holds no flow list at all. Each sender's stream is seeded with
 /// hash_combine(seed, sender index), so the sequence is deterministic but
 /// (deliberately) not the byte-identical shared-Rng order generate_poisson
 /// emits; pick one generator per experiment.
@@ -62,12 +62,16 @@ class FlowStream {
  private:
   struct SenderState {
     util::Rng rng{0};
-    sim::Time next_t = 0.0;
     sim::HostId host = sim::kInvalidHost;
-    uint32_t index = 0;  ///< heap tie-break: sender submission order
+  };
+  /// Heap entry: a sender's next arrival. The 2.5 KB SenderState stays in
+  /// place in senders_, so heap sifts move 16 bytes.
+  struct Arrival {
+    sim::Time next_t = 0.0;
+    uint32_t index = 0;  ///< into senders_; tie-break: sender submission order
   };
   struct ByArrival {
-    bool operator()(const SenderState& a, const SenderState& b) const {
+    bool operator()(const Arrival& a, const Arrival& b) const {
       if (a.next_t != b.next_t) return a.next_t > b.next_t;  // min-heap
       return a.index > b.index;
     }
@@ -77,7 +81,8 @@ class FlowStream {
   std::vector<sim::HostId> receivers_;
   WorkloadConfig config_;
   double rate_per_sender_ = 0.0;
-  std::vector<SenderState> heap_;  ///< min-heap (ByArrival) of live senders
+  std::vector<SenderState> senders_;
+  std::vector<Arrival> heap_;  ///< min-heap (ByArrival) of live senders
   uint64_t emitted_ = 0;
 };
 

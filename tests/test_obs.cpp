@@ -518,20 +518,82 @@ DataPathAllocs run_data_path_alloc_probe(bool flow_telemetry) {
 }
 
 TEST(ObsIntegration, FlowTelemetryHookSitesAddZeroAllocations) {
-  // The PR-2 overhead contract extended to the flow-telemetry hook sites.
-  // Two guarantees, both with no FlowTracker attached and path sampling off:
+  // The zero-allocation contract of the data path (DESIGN.md §6), with no
+  // FlowTracker attached and path sampling off:
+  //  * while the UDP stream crosses the fabric, forwarding its packets
+  //    (source pins, flowlet pins, the loop-accounting window) allocates
+  //    nothing;
   //  * once the data flow ends, the probe loop with a transport attached
   //    (hook branches present but disabled) is back to zero allocations;
   //  * turning path-signature stamping on (set_flow_telemetry) adds exactly
-  //    zero allocations to the data path — the runs are deterministic, so
-  //    the per-window counts must match the telemetry-off run bit-for-bit.
+  //    zero allocations to the data path.
   const DataPathAllocs off = run_data_path_alloc_probe(false);
   const DataPathAllocs on = run_data_path_alloc_probe(true);
   EXPECT_GT(off.udp_bytes, 0u);
   EXPECT_EQ(off.udp_bytes, on.udp_bytes);
+  EXPECT_EQ(off.active_window, 0u);
+  EXPECT_EQ(on.active_window, 0u);
   EXPECT_EQ(off.quiet_window, 0u);
   EXPECT_EQ(on.quiet_window, 0u);
-  EXPECT_EQ(off.active_window, on.active_window);
+}
+
+// One long TCP flow from e0_0 to e1_1 on the UDP probe's fabric, with
+// 64-packet link buffers: the flow runs a regular loss-and-recovery sawtooth
+// (a burst of drops about every 10 ms), so out-of-order arrivals, their
+// drain, fast retransmits and RTT samples all recur. Returns the counts of
+// the window [warm_up_s, warm_up_s + window_s].
+struct TcpWindowAllocs {
+  uint64_t allocs = 0;
+  uint64_t forwarded = 0;  ///< data and ACK hops through switches
+  uint64_t fast_retx = 0;
+};
+
+TcpWindowAllocs run_tcp_alloc_probe(double warm_up_s, double window_s) {
+  const topology::Topology topo =
+      topology::fat_tree(4, topology::LinkParams{10e9, 1e-6});
+  const compiler::CompileResult compiled =
+      compiler::compile(lang::policies::shortest_widest(), topo);
+  const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
+
+  sim::SimConfig config;
+  config.queue_capacity_bytes = 64 * 1500;
+  sim::Simulator sim(topo, config);
+  const std::vector<sim::HostId> senders =
+      sim::attach_hosts(sim, {topo.find("e0_0")});
+  const std::vector<sim::HostId> receivers =
+      sim::attach_hosts(sim, {topo.find("e1_1")});
+  dataplane::ContraSwitchOptions options;
+  options.probe_period_s = 128e-6;
+  dataplane::install_contra_network(sim, compiled, evaluator, options);
+  sim::TransportManager transport(sim);
+  transport.start_flow(senders[0], receivers[0], /*bytes=*/uint64_t{1} << 40,
+                       /*start_time=*/1e-3);
+  sim.start();
+  sim.run_until(warm_up_s);
+
+  const obs::Telemetry& tel = sim.telemetry();
+  const uint64_t forwarded_before = tel.metrics().value(tel.core().data_forwarded);
+  const uint64_t fast_retx_before = tel.metrics().value(tel.core().tcp_fast_retx);
+  const uint64_t allocs_before = util::alloc_count();
+  sim.run_until(warm_up_s + window_s);
+  TcpWindowAllocs out;
+  out.allocs = util::alloc_count() - allocs_before;
+  out.forwarded = tel.metrics().value(tel.core().data_forwarded) - forwarded_before;
+  out.fast_retx = tel.metrics().value(tel.core().tcp_fast_retx) - fast_retx_before;
+  return out;
+}
+
+TEST(ObsIntegration, TcpDataPathIsAllocationFree) {
+  // The zero-allocation contract for TCP endpoints and the switches they
+  // cross: once every table has reached its working capacity, a window of
+  // steady TCP traffic, loss recovery included, allocates nothing. The
+  // warm-up is long because link FIFOs keep setting queue-depth records
+  // (each one a RingQueue doubling) for the first few sawtooth periods;
+  // the flat tables themselves settle within about 12 ms.
+  const TcpWindowAllocs w = run_tcp_alloc_probe(/*warm_up_s=*/50e-3, /*window_s=*/10e-3);
+  EXPECT_GE(w.forwarded, 10000u);
+  EXPECT_GT(w.fast_retx, 0u);
+  EXPECT_EQ(w.allocs, 0u);
 }
 
 }  // namespace
