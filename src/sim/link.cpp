@@ -101,8 +101,7 @@ void Link::maybe_start_transmit() {
   if (busy_ || queue_.empty() || down_) return;
   busy_ = true;
   const double tx_time = queue_.front()->size_bytes * 8.0 / capacity_bps();
-  tx_done_at_ = events_.now() + tx_time;
-  events_.schedule_link_tx(tx_done_at_, this);
+  tx_done_at_ = events_.schedule_link_tx_in(tx_time, this);
 }
 
 void Link::on_transmit_done() {
@@ -128,7 +127,7 @@ void Link::on_transmit_done() {
     remote_forward_(events_.now() + delay_s(), std::move(*packet));
     events_.packet_pool().release(packet);
   } else {
-    events_.schedule_deliver(events_.now() + delay_s(), this, packet);
+    events_.schedule_deliver_in(delay_s(), this, packet);
   }
   maybe_start_transmit();
 }

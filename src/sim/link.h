@@ -111,7 +111,7 @@ class Link {
  private:
   // The event queue dispatches the two typed per-hop events (transmit-done,
   // propagation-delivery) straight into these without going through a
-  // closure; see EventQueue::schedule_link_tx / schedule_deliver.
+  // closure; see EventQueue::schedule_link_tx_in / schedule_deliver_in.
   friend class EventQueue;
 
   void maybe_start_transmit();

@@ -29,12 +29,11 @@ uint64_t drain_mailboxes_into(Shard& dst, std::vector<std::unique_ptr<Shard>>& s
   size_t batch = 0;
   for (auto& src : shards) batch += src->outbox[dst.id].staged().size();
   if (batch == 0) return 0;
-  dst.sim.events().reserve_extra(batch);
   for (auto& src : shards) {
     Mailbox& box = src->outbox[dst.id];
     for (CrossHop& hop : box.staged()) {
-      dst.sim.events().schedule_deliver(hop.deliver_at, &dst.sim.link(hop.link),
-                                        std::move(hop.packet));
+      dst.sim.events().schedule_deliver_at(hop.deliver_at, &dst.sim.link(hop.link),
+                                           std::move(hop.packet));
     }
     box.clear_staged();
   }

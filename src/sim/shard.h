@@ -6,8 +6,8 @@
 // shard. Replicating the Link array in every shard costs a few hundred bytes
 // per link and buys a big simplification: link ids, host ids and packet-id
 // spaces line up across shards, every dataplane reads only links its own
-// shard transmits on, and a cross-shard delivery is just schedule_deliver on
-// the destination shard's copy of the very same link id.
+// shard transmits on, and a cross-shard delivery is just schedule_deliver_at
+// on the destination shard's copy of the very same link id.
 //
 // Threading contract: a shard's simulator, telemetry, and trace buffer are
 // touched by exactly one worker during a run phase; mailboxes are written by
@@ -114,9 +114,11 @@ struct Shard {
 /// order, scheduling each entry on dst's queue (push order within a
 /// mailbox). Together with the queue's (time, seq) tie-break this realizes
 /// the deterministic (time, source shard, sequence) processing order. The
-/// whole inbound batch drains as one pass: queue storage is reserved once
-/// and the per-shard batch counters/histogram are bumped once per pass, not
-/// per message. Returns the number of hops drained. Runs on dst's worker.
+/// whole inbound batch drains as one pass: the per-shard batch
+/// counters/histogram are bumped once per pass, not per message. Each hop
+/// tries the delay lane of its link, so the drain grows no heap storage once
+/// the lanes are warm. Returns the number of hops drained. Runs on dst's
+/// worker.
 uint64_t drain_mailboxes_into(Shard& dst, std::vector<std::unique_ptr<Shard>>& shards);
 
 }  // namespace contra::sim

@@ -360,6 +360,7 @@ struct ScenarioResult {
   size_t completed_flows = 0;
   uint32_t num_shards = 1;
   uint32_t cut_links = 0;
+  uint64_t lane_misses = 0;  ///< typed events that fell back to the heap, all shards
   std::string trace;   ///< merged JSONL, when requested
   std::string tables;  ///< concatenated FwdT/BestT renders, when requested
 };
@@ -482,6 +483,9 @@ ScenarioResult run_parallel_scenario(const topology::Topology& topo,
   out.completed_flows = transport.completed_flows().size();
   out.num_shards = psim.num_shards();
   out.cut_links = psim.partition().num_cut_links;
+  for (uint32_t s = 0; s < psim.num_shards(); ++s) {
+    out.lane_misses += psim.shard_sim(s).events().lane_misses();
+  }
   std::vector<LinkStats> per_link(topo.num_links());
   for (topology::LinkId id = 0; id < topo.num_links(); ++id) {
     for (uint32_t s = 0; s < psim.num_shards(); ++s) {
@@ -552,6 +556,9 @@ TEST(ParallelDeterminism, WorkersInvariantFatTree) {
     EXPECT_EQ(base.num_shards, 4u);
     EXPECT_GT(base.cut_links, 0u);
     EXPECT_GT(base.completed_flows, 0u);
+    // Mailbox deliveries arrive out of their lane's order; they open a
+    // second lane of the same delay instead of falling back to the heap.
+    EXPECT_EQ(base.lane_misses, 0u) << "seed " << seed;
     for (const uint32_t workers : {2u, 4u, 8u}) {
       const ScenarioResult run = run_parallel_scenario(fx.fat_tree, fx.fat_compiled, fx.fat_eval,
                                                        false, seed, 4, workers);

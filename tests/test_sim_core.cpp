@@ -3,7 +3,12 @@
 // the golden-replay determinism gate for the zero-allocation event core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <random>
 
 #include "compiler/compiler.h"
 #include "dataplane/contra_switch.h"
@@ -86,6 +91,183 @@ TEST(EventQueue, ClampedEventsAreCounted) {
   EXPECT_EQ(q.events_clamped(), 1u);
   q.run_until(3.0);
   EXPECT_EQ(q.events_clamped(), 1u);
+}
+
+// Randomized differential for the delay lanes. Chains of closures keep
+// scheduling closures, link transmit-dones (an enqueue on an idle link),
+// deliveries by delay and deliveries at absolute times (the mailbox path)
+// while the queue runs. Every fired event must come out in the order of a
+// reference sort by (time, insertion index), at exactly its scheduled time.
+// The schedule uses more distinct delays than there are lanes, ties across
+// lanes and the closure heap, a gray delay that shrinks mid-stream, absolute
+// times before their lane's tail, and past times that clamp.
+TEST(EventQueue, LanesFireInReferenceOrder) {
+  EventQueue q;
+  std::mt19937_64 rng(20261020);
+  auto draw = [&rng](uint64_t n) { return rng() % n; };
+  // Dyadic times: every sum below is exact, so equal times across lanes and
+  // the heap are common. A link at 8 * 2^20 bps serializes one byte per tick.
+  constexpr Time kTick = 0x1.0p-20;
+  constexpr double kByteRate = 8.0 * 1048576;
+
+  struct Scheduled {
+    Time time;
+    uint64_t index;
+  };
+  std::vector<Scheduled> scheduled;
+  std::vector<Scheduled> fired;
+  uint64_t typed = 0;
+  auto note = [&](Time time) {
+    scheduled.push_back({std::max(time, q.now()), scheduled.size()});
+    return scheduled.back().index;
+  };
+  auto fire = [&](uint64_t index) { fired.push_back({q.now(), index}); };
+
+  // Transmit-dones are observable through the remote-forward hook, which a
+  // link calls from on_transmit_done; each link carries one packet at a time.
+  std::vector<std::unique_ptr<Link>> links;
+  std::vector<Link*> idle;
+  auto tx_link = [&](double rate) {
+    for (size_t i = 0; i < idle.size(); ++i) {
+      if (idle[i]->capacity_bps() == rate) {
+        Link* link = idle[i];
+        idle.erase(idle.begin() + static_cast<std::ptrdiff_t>(i));
+        return link;
+      }
+    }
+    links.push_back(std::make_unique<Link>(q, rate, 0.0, 1 << 20, 1e-3));
+    Link* link = links.back().get();
+    link->set_remote_forward([&fire, &idle, link](Time, Packet&& p) {
+      fire(p.id);
+      idle.push_back(link);
+    });
+    return link;
+  };
+  // Delivery targets: a plain link, and a gray link whose extra delay
+  // shrinks half-way through the run.
+  Link sink(q, 1e9, 3 * kTick, 1 << 20, 1e-3);
+  Link gray(q, 1e9, 5 * kTick, 1 << 20, 1e-3);
+  GrayParams slow;
+  slow.extra_delay_s = 40 * kTick;
+  gray.set_gray(slow);
+  for (Link* link : {&sink, &gray}) link->set_deliver([&fire](Packet&& p) { fire(p.id); });
+
+  constexpr uint64_t kBudget = 20000;
+  std::function<void()> chain;
+  auto spawn = [&] {
+    const uint64_t what = draw(10);
+    if (what < 3) {
+      const Time t = what == 0 ? q.now() - kTick : q.now() + draw(40) * kTick;
+      q.schedule_at(t, [&fire, index = note(t)] { fire(index); });
+    } else if (what < 5) {
+      // Link::maybe_start_transmit computes size * 8.0 / rate.
+      const double rate = draw(2) == 0 ? kByteRate : kByteRate / 2;
+      Link* link = tx_link(rate);
+      Packet p;
+      p.size_bytes = 1 + static_cast<uint32_t>(draw(150));
+      p.id = note(q.now() + p.size_bytes * 8.0 / rate);
+      ++typed;
+      ASSERT_TRUE(link->enqueue(std::move(p)));
+    } else if (what < 8) {
+      Link& link = what == 5 ? gray : sink;
+      const Time delay = what == 7 ? draw(100) * kTick : link.delay_s();
+      Packet* slot = q.packet_pool().acquire();
+      slot->id = note(q.now() + delay);
+      ++typed;
+      q.schedule_deliver_in(delay, &link, slot);
+    } else {
+      // Absolute times, not monotone per link: some land before their
+      // lane's tail, some in the past.
+      const Time t = q.now() + (static_cast<double>(draw(60)) - 4) * kTick;
+      Packet p;
+      p.id = note(t);
+      ++typed;
+      q.schedule_deliver_at(t, what == 8 ? &sink : &gray, std::move(p));
+    }
+  };
+  chain = [&] {
+    if (scheduled.size() >= kBudget) return;
+    if (scheduled.size() >= kBudget / 2 && gray.gray_params().extra_delay_s > 10 * kTick) {
+      GrayParams fast;
+      fast.extra_delay_s = 10 * kTick;
+      gray.set_gray(fast);
+    }
+    for (uint64_t n = draw(4); n > 0; --n) spawn();
+    const Time t = q.now() + draw(8) * kTick;
+    q.schedule_at(t, [&chain, &fire, index = note(t)] {
+      fire(index);
+      chain();
+    });
+  };
+  for (int i = 0; i < 16; ++i) {
+    const Time t = i * kTick;
+    q.schedule_at(t, [&chain, &fire, index = note(t)] {
+      fire(index);
+      chain();
+    });
+  }
+  q.run_until(1.0);
+
+  ASSERT_TRUE(q.empty());
+  std::vector<Scheduled> expected = scheduled;
+  std::sort(expected.begin(), expected.end(), [](const Scheduled& a, const Scheduled& b) {
+    return a.time != b.time ? a.time < b.time : a.index < b.index;
+  });
+  ASSERT_EQ(fired.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(fired[i].index, expected[i].index) << "at position " << i;
+    ASSERT_EQ(fired[i].time, expected[i].time) << "at position " << i;
+  }
+  EXPECT_EQ(q.events_processed(), expected.size());
+  EXPECT_GT(q.events_clamped(), 0u);
+  // Both paths ran: some typed events were laned, some fell back.
+  EXPECT_GT(q.lane_misses(), 0u);
+  EXPECT_LT(q.lane_misses(), typed);
+  EXPECT_EQ(q.packet_pool().free_count(), q.packet_pool().allocated());
+}
+
+// next_time() sees the earliest head of either side, and run_before leaves
+// an event at exactly the boundary pending, laned or on the heap.
+TEST(EventQueue, WindowEdgesSeeLanedAndHeapEvents) {
+  for (const bool laned_edge : {true, false}) {
+    SCOPED_TRACE(laned_edge ? "laned event at the edge" : "closure at the edge");
+    EventQueue q;
+    Link link(q, 1e9, 0.0, 1 << 20, 1e-3);
+    std::vector<int> order;
+    link.set_deliver([&](Packet&& p) { order.push_back(static_cast<int>(p.id)); });
+    auto deliver_in = [&](Time delay, int id) {
+      Packet* slot = q.packet_pool().acquire();
+      slot->id = static_cast<uint64_t>(id);
+      q.schedule_deliver_in(delay, &link, slot);
+    };
+    auto closure_at = [&](Time t, int id) { q.schedule_at(t, [&order, id] { order.push_back(id); }); };
+    EXPECT_EQ(q.next_time(), std::numeric_limits<Time>::infinity());
+    // The edge event at 1.0 is of one kind, its neighbours of the other.
+    if (laned_edge) {
+      deliver_in(1.0, 1);
+      closure_at(2.0, 2);
+      closure_at(0.5, 0);
+    } else {
+      closure_at(1.0, 1);
+      deliver_in(2.0, 2);
+      deliver_in(0.5, 0);
+    }
+    EXPECT_EQ(q.next_time(), 0.5);
+    q.run_before(1.0);
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    EXPECT_EQ(q.now(), 1.0);
+    EXPECT_EQ(q.next_time(), 1.0);
+    q.run_before(1.0);
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    q.run_until(1.0);
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(q.next_time(), 2.0);
+    EXPECT_FALSE(q.empty());
+    q.run_until(2.0);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.lane_misses(), 0u);
+  }
 }
 
 TEST(EventHandler, SmallCapturesStayInline) {
@@ -280,7 +462,7 @@ TEST(Link, UtilizationReadsAreIdempotent) {
 
 TEST(Link, SteadyStateHopAllocatesNothing) {
   // Two links ping-pong one packet forever. After warmup (pool slot created,
-  // ring buffers and the event heap grown), a packet hop must not touch the
+  // link and lane ring buffers grown), a packet hop must not touch the
   // allocator: this is the zero-allocation contract of the event core.
   EventQueue q;
   Link ab(q, 1e9, 5e-6, 1 << 20, 1e-3);
@@ -451,6 +633,7 @@ uint64_t fnv_mix(uint64_t h, uint64_t v) {
 struct GoldenRun {
   uint64_t digest = 0;
   uint64_t events = 0;
+  uint64_t lane_misses = 0;
   size_t completed_flows = 0;
 };
 
@@ -494,6 +677,7 @@ GoldenRun run_golden_scenario(const topology::Topology& topo,
 
   GoldenRun out;
   out.events = sim.events().events_processed();
+  out.lane_misses = sim.events().lane_misses();
   out.completed_flows = transport.completed_flows().size();
   uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   h = fnv_mix(h, out.events);
@@ -512,6 +696,19 @@ GoldenRun run_golden_scenario(const topology::Topology& topo,
   }
   out.digest = h;
   return out;
+}
+
+// On one shard every typed event's time is now() + its delay, so each one
+// finds the lane of its delay: the heap carries closures only.
+TEST(EventQueue, FatTreeContraRunMissesNoLane) {
+  const topology::Topology topo = topology::fat_tree(4, topology::LinkParams{10e9, 1e-6});
+  const compiler::CompileResult compiled =
+      compiler::compile("minimize((path.len, path.util))", topo);
+  const pg::PolicyEvaluator evaluator(compiled.graph, compiled.decomposition);
+  const GoldenRun run = run_golden_scenario(topo, compiled, evaluator, /*abilene=*/false, 1);
+  EXPECT_GT(run.completed_flows, 0u);
+  EXPECT_GT(run.events, 100'000u);
+  EXPECT_EQ(run.lane_misses, 0u);
 }
 
 // Data packets that reach a host on a converged k=4 fat-tree under Contra,

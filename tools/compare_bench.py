@@ -13,6 +13,10 @@ wall time is dominated by control-plane convergence, so their
 events_per_sec is printed as INFO and never gated, and one missing from
 CURRENT (bench_core_speed --no-hybrid) is skipped.
 
+Each report records the machine it ran on (hardware_concurrency, CPU model,
+build type). A difference between the two is printed as INFO: throughput
+from different machines or builds is compared anyway, but read it as such.
+
 Only throughput is compared here. Every correctness contract of a report
 (zero allocations, usable-FwdT fixed points, dense-table fallbacks, the
 triggered reduction, the hybrid event ratio and RSS ceiling, parallel
@@ -52,7 +56,7 @@ def check_fuzz_corpus(corpus_dir):
     return 0
 
 
-def load_scenarios(path):
+def load_report(path):
     try:
         with open(path) as f:
             report = json.load(f)
@@ -63,7 +67,17 @@ def load_scenarios(path):
     scenarios = report.get("scenarios")
     if not isinstance(scenarios, dict) or not scenarios:
         sys.exit(f"compare_bench: no scenarios in {path}")
-    return scenarios
+    return report
+
+
+def compare_machines(base, cur):
+    """Prints one INFO line per fingerprint field that differs."""
+    base_m, cur_m = (r.get("machine") if isinstance(r.get("machine"), dict) else {}
+                     for r in (base, cur))
+    for key in ("hardware_concurrency", "cpu_model", "build_type"):
+        if base_m.get(key) != cur_m.get(key):
+            print(f"{'INFO':10s} machine {key}: {base_m.get(key, 'unrecorded')!r} -> "
+                  f"{cur_m.get(key, 'unrecorded')!r} (measured on different machines or builds)")
 
 
 def compare(name, key, unit, base, cur, threshold):
@@ -97,8 +111,11 @@ def main():
     if len(args.files) != 2:
         parser.error("need BASELINE and CURRENT report files")
 
-    baseline = load_scenarios(args.files[0])
-    current = load_scenarios(args.files[1])
+    base_report = load_report(args.files[0])
+    cur_report = load_report(args.files[1])
+    compare_machines(base_report, cur_report)
+    baseline = base_report["scenarios"]
+    current = cur_report["scenarios"]
 
     failed = False
     for name, base in sorted(baseline.items()):
